@@ -12,6 +12,10 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The Weyl increment: SplitMix64 is a counter generator, its state
+/// advances by exactly this much per draw.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl SplitMix64 {
     /// Create a generator from a seed.
     pub fn new(seed: u64) -> Self {
@@ -21,11 +25,22 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advance past `n` draws in O(1): the state after `skip(n)` is the
+    /// state after `n` calls of [`Self::next_u64`]. Every other method
+    /// draws through `next_u64` a number of times fixed by its
+    /// arguments ([`Self::below`] once, [`Self::shuffle`] of `m`
+    /// entries `m − 1` times), so a caller that knows which calls it
+    /// is leaving out can leave them out without moving any later draw.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
@@ -55,7 +70,8 @@ impl SplitMix64 {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Fisher–Yates shuffle of a slice.
+    /// Fisher–Yates shuffle of a slice: `xs.len() − 1` draws (none for
+    /// an empty slice), whatever the contents.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below_usize(i + 1);
@@ -135,6 +151,47 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle left slice unchanged"
         );
+    }
+
+    #[test]
+    fn skip_equals_that_many_draws() {
+        for n in [0u64, 1, 126] {
+            let mut drawn = SplitMix64::new(17);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = SplitMix64::new(17);
+            skipped.skip(n);
+            assert_eq!(skipped, drawn, "n = {n}");
+            assert_eq!(skipped.next_u64(), drawn.next_u64(), "n = {n}");
+        }
+        // 2^40 draws cannot be made one by one: skips compose, and a
+        // skip of 2^40 is 2^20 skips of 2^20, each checked above in kind.
+        let mut once = SplitMix64::new(17);
+        once.skip(1 << 40);
+        let mut pieces = SplitMix64::new(17);
+        for _ in 0..(1u32 << 20) {
+            pieces.skip(1 << 20);
+        }
+        assert_eq!(once, pieces);
+        let mut stepped = SplitMix64::new(17);
+        stepped.skip((1 << 40) - 3);
+        for _ in 0..3 {
+            stepped.next_u64();
+        }
+        assert_eq!(once, stepped);
+    }
+
+    #[test]
+    fn skip_matches_shuffle_draw_count_for_every_length() {
+        for len in 0..=130usize {
+            let mut shuffled = SplitMix64::new(len as u64);
+            let mut xs: Vec<usize> = (0..len).collect();
+            shuffled.shuffle(&mut xs);
+            let mut skipped = SplitMix64::new(len as u64);
+            skipped.skip(len.saturating_sub(1) as u64);
+            assert_eq!(skipped, shuffled, "len = {len}");
+        }
     }
 
     #[test]

@@ -48,6 +48,8 @@ pub(crate) struct WorkerHarness {
     policy: Box<dyn Policy>,
     rng: SplitMix64,
     trace: SharedSink,
+    /// Steal-round buffer, reused across rounds.
+    steal_buf: Vec<StealStep>,
 }
 
 impl WorkerHarness {
@@ -66,6 +68,7 @@ impl WorkerHarness {
             policy,
             rng: SplitMix64::new(seed),
             trace,
+            steal_buf: Vec::new(),
         }
     }
 
@@ -131,13 +134,26 @@ impl WorkerHarness {
         stats
     }
 
-    /// Algorithm 1 lines 9–29 against the real deques.
+    /// Algorithm 1 lines 9–29 against the real deques. The board is
+    /// racy here (other threads publish while a round is walked), so
+    /// the round is asked for eagerly, not phase by phase.
     fn acquire(&mut self, worker: &Worker<RtTask>, stats: &mut WorkerStats) -> Option<RtTask> {
-        let steps = self
-            .policy
-            .steal_sequence(self.id, &self.shared.board, &mut self.rng);
+        let mut steps = std::mem::take(&mut self.steal_buf);
+        self.policy
+            .steal_sequence_into(self.id, &self.shared.board, &mut self.rng, &mut steps);
+        let got = self.walk_steps(&steps, worker, stats);
+        self.steal_buf = steps;
+        got
+    }
+
+    fn walk_steps(
+        &mut self,
+        steps: &[StealStep],
+        worker: &Worker<RtTask>,
+        stats: &mut WorkerStats,
+    ) -> Option<RtTask> {
         let wpp = self.shared.cfg.workers_per_place;
-        for step in steps {
+        for &step in steps {
             match step {
                 StealStep::PollPrivate => {
                     if let Some(t) = worker.pop() {

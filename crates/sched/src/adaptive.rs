@@ -24,7 +24,7 @@
 //! heuristics.
 
 use crate::policies::ChunkPolicy;
-use crate::view::{ClusterView, DequeChoice, StealStep, TaskMeta};
+use crate::view::{ClusterView, DequeChoice, StealPhase, StealStep, TaskMeta};
 use crate::Policy;
 use distws_core::rng::SplitMix64;
 use distws_core::{CostModel, GlobalWorkerId, Locality};
@@ -87,15 +87,6 @@ impl Policy for AdaptiveWs {
         self.inner.map_task(&reclassified, view, rng)
     }
 
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        self.inner.steal_sequence(thief, view, rng)
-    }
-
     fn steal_sequence_into(
         &mut self,
         thief: GlobalWorkerId,
@@ -104,6 +95,17 @@ impl Policy for AdaptiveWs {
         out: &mut Vec<StealStep>,
     ) {
         self.inner.steal_sequence_into(thief, view, rng, out);
+    }
+
+    fn steal_phase(
+        &mut self,
+        phase: StealPhase,
+        thief: GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+        out: &mut Vec<StealStep>,
+    ) {
+        self.inner.steal_phase(phase, thief, view, rng, out);
     }
 
     fn may_migrate(&self, _locality: Locality) -> bool {

@@ -42,7 +42,7 @@ pub use lifeline::LifelineWs;
 pub use policies::{ChunkPolicy, DistWs, DistWsNs, RandomWs, VictimOrder, X10Ws};
 pub use protocol::{LOCAL_STEAL_CHUNK, REMOTE_STEAL_CHUNK, STEAL_TIER_ORDER};
 pub use retry::RetryPolicy;
-pub use view::{ClusterView, DequeChoice, StealStep, TaskMeta};
+pub use view::{ClusterView, DequeChoice, StealPhase, StealStep, TaskMeta};
 
 use distws_core::rng::SplitMix64;
 use distws_core::Locality;
@@ -53,6 +53,46 @@ use distws_core::Locality;
 /// (round-robin counters, per-thief victim cursors). Engines that run
 /// workers on multiple OS threads clone one policy instance per worker
 /// via [`Policy::clone_box`].
+///
+/// # The two-phase steal round
+///
+/// Algorithm 1 short-circuits: lines 9–15 stay inside the place and
+/// only a thief they all fail sweeps the cluster (18–29). An engine can
+/// ask for the round the same way, through [`Policy::steal_phase`]:
+///
+/// 1. [`StealPhase::Local`] — the steps to try first;
+/// 2. if none of them found a task, [`StealPhase::Remote`] — the steps
+///    to try next, appended to the same buffer;
+/// 3. if the round ended inside the first part,
+///    [`StealPhase::Skip`] instead of `Remote`.
+///
+/// [`Policy::steal_sequence_into`] is the same round asked for at once,
+/// and for every policy it **is** `Local` followed by `Remote` on one
+/// buffer. The two ways of asking produce the same run, byte for byte,
+/// because of three rules:
+///
+/// * **What a `Remote` phase may read.** The thief, the view, the
+///   policy's own state as of the last [`Policy::note_result`], and
+///   `rng`. Walking a `Local` part that finds nothing pops and takes
+///   from empty deques only, so in an engine whose view changes with
+///   the thief's own actions alone (the simulator) none of these
+///   differs from what an eager call at the start of the round would
+///   have read. An engine whose view other threads write while the
+///   thief walks (the threaded runtime, the cluster) asks eagerly.
+/// * **`Skip` burns the draws `Remote` would have made.** The engine
+///   hands one `rng` stream to every round of every thief (and to
+///   [`Policy::map_task`]); if a round that stops early left the
+///   sweep's draws unmade, every later victim order of the run would
+///   shift. `SplitMix64` is a counter generator, so `Skip` is
+///   [`SplitMix64::skip`] by a count that depends on the cluster shape
+///   alone — O(1), no view read.
+/// * **The defaults are the eager round.** Unless overridden, `Local`
+///   is the whole of `steal_sequence_into`, `Remote` appends nothing
+///   and `Skip` does nothing. A wrapper that forwards only
+///   `steal_sequence_into` (a timing seam, a recording proxy) is
+///   therefore correct as it stands, and one that forwards
+///   `steal_phase` forwards all three phases or none: there is no way
+///   to forward half of the contract.
 pub trait Policy: Send {
     /// Short display name (`"X10WS"`, `"DistWS"`, ...).
     fn name(&self) -> &'static str;
@@ -66,29 +106,47 @@ pub trait Policy: Send {
         rng: &mut SplitMix64,
     ) -> DequeChoice;
 
-    /// Algorithm 1 lines 9–29: the ordered steal attempts an idle
-    /// worker performs. The engine executes steps until one yields a
-    /// task; a fully failed sequence counts one failed steal round.
-    fn steal_sequence(
-        &mut self,
-        thief: distws_core::GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep>;
-
-    /// [`Self::steal_sequence`] into a caller-owned buffer (cleared
-    /// first). The engine's steal loop reuses one buffer across every
-    /// round, so hot policies override this allocation-free and route
-    /// `steal_sequence` through it; the default simply delegates.
+    /// Algorithm 1 lines 9–29 into a caller-owned buffer (cleared
+    /// first): the ordered steal attempts an idle worker performs. The
+    /// engine executes steps until one yields a task; a fully failed
+    /// sequence counts one failed steal round.
     fn steal_sequence_into(
         &mut self,
         thief: distws_core::GlobalWorkerId,
         view: &dyn ClusterView,
         rng: &mut SplitMix64,
         out: &mut Vec<StealStep>,
+    );
+
+    /// [`Self::steal_sequence_into`] into a fresh `Vec`.
+    fn steal_sequence(
+        &mut self,
+        thief: distws_core::GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+    ) -> Vec<StealStep> {
+        let mut out = Vec::new();
+        self.steal_sequence_into(thief, view, rng, &mut out);
+        out
+    }
+
+    /// One phase of a two-phase steal round (see the trait docs):
+    /// `Local` clears `out` and writes the steps to walk first,
+    /// `Remote` appends the steps to walk after those all failed,
+    /// `Skip` leaves `out` alone and advances `rng` past the draws
+    /// `Remote` would have made. The default is the eager round.
+    fn steal_phase(
+        &mut self,
+        phase: StealPhase,
+        thief: distws_core::GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+        out: &mut Vec<StealStep>,
     ) {
-        out.clear();
-        out.extend(self.steal_sequence(thief, view, rng));
+        match phase {
+            StealPhase::Local => self.steal_sequence_into(thief, view, rng, out),
+            StealPhase::Remote | StealPhase::Skip => {}
+        }
     }
 
     /// Whether a task of the given locality may ever migrate across

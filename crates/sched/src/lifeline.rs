@@ -84,17 +84,6 @@ impl Policy for LifelineWs {
         }
     }
 
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        let mut out = Vec::new();
-        self.steal_sequence_into(thief, view, rng, &mut out);
-        out
-    }
-
     fn steal_sequence_into(
         &mut self,
         thief: GlobalWorkerId,

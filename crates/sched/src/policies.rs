@@ -3,10 +3,11 @@
 //! (randomized distributed stealing used in the §X UTS comparison).
 
 use crate::protocol;
-use crate::view::{ClusterView, DequeChoice, StealStep, TaskMeta};
+use crate::view::{ClusterView, DequeChoice, StealPhase, StealStep, TaskMeta};
 use crate::Policy;
 use distws_core::rng::SplitMix64;
 use distws_core::{GlobalWorkerId, Locality, PlaceId};
+use std::cmp::Reverse;
 
 /// Order in which a thief visits remote victim places.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +34,16 @@ impl VictimOrder {
             }
         }
         others
+    }
+
+    /// `rng` draws ordering the victims of one round costs in a
+    /// `places`-place cluster: the Fisher–Yates shuffle of the
+    /// `places − 1` other places, or none for the fixed ring order.
+    fn draws(self, places: u32) -> u64 {
+        match self {
+            VictimOrder::Random => u64::from(places.saturating_sub(2)),
+            VictimOrder::NearestFirstRing => 0,
+        }
     }
 }
 
@@ -95,8 +106,9 @@ impl FailBackoff {
 /// cluster size, and one reusable scratch buffer replaces the per-round
 /// collect + sort of [`VictimOrder::victims`]. The randomized order
 /// performs the exact same Fisher–Yates draws over the exact same base
-/// list, so steal sequences are unchanged byte for byte (pinned against
-/// a reference implementation in `tests/victim_order.rs`).
+/// list, and the sort key carries each victim's position in that order,
+/// so steal sequences are unchanged byte for byte (pinned against a
+/// reference implementation in `tests/victim_order.rs`).
 #[derive(Debug, Clone, Default)]
 struct VictimCache {
     places: u32,
@@ -104,8 +116,9 @@ struct VictimCache {
     base: Vec<Vec<PlaceId>>,
     /// `ring[from]` = all other places by ring distance, then id.
     ring: Vec<Vec<PlaceId>>,
-    /// Per-round `(shared_len, place)` working buffer.
-    scratch: Vec<(usize, PlaceId)>,
+    /// Per-round working buffer: `(shared_len, position in the visiting
+    /// order, place)`, sorted on the first two.
+    scratch: Vec<(Reverse<usize>, u32, PlaceId)>,
 }
 
 impl VictimCache {
@@ -153,33 +166,65 @@ fn push_remote_visits(
         VictimOrder::NearestFirstRing => &ring[from.0 as usize],
     };
     scratch.clear();
-    scratch.extend(list.iter().map(|p| (0usize, *p)));
+    scratch.extend(list.iter().map(|p| (Reverse(0), 0, *p)));
     if order == VictimOrder::Random {
         // Same draws, same swaps as shuffling the bare place list.
         rng.shuffle(scratch);
     }
-    for e in scratch.iter_mut() {
-        e.0 = view.shared_len(e.1);
+    let mut loaded = 0;
+    for (pos, e) in scratch.iter_mut().enumerate() {
+        let len = view.shared_len(e.2);
+        loaded += usize::from(len > 0);
+        (e.0, e.1) = (Reverse(len), pos as u32);
     }
     // §VI.B: every place maintains a status object that lets thieves
     // "identify idle or lightly-loaded places" — so probe the places
     // with visibly pooled work first, and don't pay round trips to
     // places the status board already shows empty beyond a small
-    // staleness allowance. In-place insertion sort, descending: an
-    // element only moves left past *strictly smaller* keys, which is
-    // exactly the stable `sort_by_key(Reverse(len))` order.
-    for i in 1..scratch.len() {
-        let mut j = i;
-        while j > 0 && scratch[j - 1].0 < scratch[j].0 {
-            scratch.swap(j - 1, j);
-            j -= 1;
-        }
-    }
-    let loaded = scratch.iter().filter(|(len, _)| *len > 0).count();
+    // staleness allowance. Descending length, ties in visiting order:
+    // the position makes every key distinct, so the unstable sort
+    // yields exactly the stable `sort_by_key(Reverse(len))` order.
+    scratch.sort_unstable_by_key(|&(len, pos, _)| (len, pos));
     let keep = (loaded + 2).min(budget);
-    for &(_, victim) in scratch.iter().take(keep) {
+    for &(_, _, victim) in scratch.iter().take(keep) {
         // Lines 22–27 + the line 19 re-probe after a failed attempt.
         steps.extend(protocol::remote_visit(victim));
+    }
+}
+
+/// What a sweeping policy keeps between steal rounds.
+#[derive(Debug, Clone, Default)]
+struct Sweep {
+    backoff: FailBackoff,
+    cache: VictimCache,
+}
+
+impl Sweep {
+    /// The steal round of the sweeping policies, phase by phase: lines
+    /// 9–15, then the sweep of lines 18–29, whose only `rng` use is
+    /// ordering the victims.
+    fn phase(
+        &mut self,
+        phase: StealPhase,
+        order: VictimOrder,
+        thief: GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+        out: &mut Vec<StealStep>,
+    ) {
+        let cfg = view.config();
+        match phase {
+            StealPhase::Local => {
+                out.clear();
+                out.extend_from_slice(&protocol::local_steps());
+            }
+            StealPhase::Remote => {
+                let from = cfg.place_of(thief);
+                let budget = self.backoff.budget(thief, cfg.places);
+                push_remote_visits(out, from, view, order, budget, rng, &mut self.cache);
+            }
+            StealPhase::Skip => rng.skip(order.draws(cfg.places)),
+        }
     }
 }
 
@@ -206,17 +251,6 @@ impl Policy for X10Ws {
         _rng: &mut SplitMix64,
     ) -> DequeChoice {
         DequeChoice::Private
-    }
-
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        let mut out = Vec::new();
-        self.steal_sequence_into(thief, view, rng, &mut out);
-        out
     }
 
     fn steal_sequence_into(
@@ -265,8 +299,7 @@ pub struct DistWs {
     /// idle/under-utilized places. Disable for the mapping-rule
     /// ablation (flexible tasks then always go to the shared deque).
     pub respect_utilization: bool,
-    backoff: FailBackoff,
-    cache: VictimCache,
+    sweep: Sweep,
 }
 
 impl Default for DistWs {
@@ -275,8 +308,7 @@ impl Default for DistWs {
             victim_order: VictimOrder::Random,
             chunk_policy: ChunkPolicy::Fixed(protocol::REMOTE_STEAL_CHUNK),
             respect_utilization: true,
-            backoff: FailBackoff::default(),
-            cache: VictimCache::default(),
+            sweep: Sweep::default(),
         }
     }
 }
@@ -347,17 +379,6 @@ impl Policy for DistWs {
         }
     }
 
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        let mut out = Vec::new();
-        self.steal_sequence_into(thief, view, rng, &mut out);
-        out
-    }
-
     fn steal_sequence_into(
         &mut self,
         thief: GlobalWorkerId,
@@ -365,19 +386,20 @@ impl Policy for DistWs {
         rng: &mut SplitMix64,
         out: &mut Vec<StealStep>,
     ) {
-        let place = view.config().place_of(thief);
-        out.clear();
-        out.extend_from_slice(&protocol::local_steps()); // lines 9–15
-        let budget = self.backoff.budget(thief, view.config().places);
-        push_remote_visits(
-            out,
-            place,
-            view,
-            self.victim_order,
-            budget,
-            rng,
-            &mut self.cache,
-        );
+        self.steal_phase(StealPhase::Local, thief, view, rng, out);
+        self.steal_phase(StealPhase::Remote, thief, view, rng, out);
+    }
+
+    fn steal_phase(
+        &mut self,
+        phase: StealPhase,
+        thief: GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+        out: &mut Vec<StealStep>,
+    ) {
+        self.sweep
+            .phase(phase, self.victim_order, thief, view, rng, out);
     }
 
     fn may_migrate(&self, locality: Locality) -> bool {
@@ -393,7 +415,7 @@ impl Policy for DistWs {
     }
 
     fn note_result(&mut self, thief: GlobalWorkerId, found: bool) {
-        self.backoff.note(thief, found);
+        self.sweep.backoff.note(thief, found);
     }
 
     fn clone_box(&self) -> Box<dyn Policy> {
@@ -414,8 +436,7 @@ pub struct DistWsNs {
     victim_order: VictimOrder,
     chunk: usize,
     rr: u64,
-    backoff: FailBackoff,
-    cache: VictimCache,
+    sweep: Sweep,
 }
 
 impl Default for DistWsNs {
@@ -424,8 +445,7 @@ impl Default for DistWsNs {
             victim_order: VictimOrder::Random,
             chunk: protocol::REMOTE_STEAL_CHUNK,
             rr: 0,
-            backoff: FailBackoff::default(),
-            cache: VictimCache::default(),
+            sweep: Sweep::default(),
         }
     }
 }
@@ -451,17 +471,6 @@ impl Policy for DistWsNs {
         }
     }
 
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        let mut out = Vec::new();
-        self.steal_sequence_into(thief, view, rng, &mut out);
-        out
-    }
-
     fn steal_sequence_into(
         &mut self,
         thief: GlobalWorkerId,
@@ -469,19 +478,20 @@ impl Policy for DistWsNs {
         rng: &mut SplitMix64,
         out: &mut Vec<StealStep>,
     ) {
-        let place = view.config().place_of(thief);
-        out.clear();
-        out.extend_from_slice(&protocol::local_steps());
-        let budget = self.backoff.budget(thief, view.config().places);
-        push_remote_visits(
-            out,
-            place,
-            view,
-            self.victim_order,
-            budget,
-            rng,
-            &mut self.cache,
-        );
+        self.steal_phase(StealPhase::Local, thief, view, rng, out);
+        self.steal_phase(StealPhase::Remote, thief, view, rng, out);
+    }
+
+    fn steal_phase(
+        &mut self,
+        phase: StealPhase,
+        thief: GlobalWorkerId,
+        view: &dyn ClusterView,
+        rng: &mut SplitMix64,
+        out: &mut Vec<StealStep>,
+    ) {
+        self.sweep
+            .phase(phase, self.victim_order, thief, view, rng, out);
     }
 
     fn may_migrate(&self, _locality: Locality) -> bool {
@@ -493,7 +503,7 @@ impl Policy for DistWsNs {
     }
 
     fn note_result(&mut self, thief: GlobalWorkerId, found: bool) {
-        self.backoff.note(thief, found);
+        self.sweep.backoff.note(thief, found);
     }
 
     fn clone_box(&self) -> Box<dyn Policy> {
@@ -526,17 +536,6 @@ impl Policy for RandomWs {
         rng: &mut SplitMix64,
     ) -> DequeChoice {
         DistWs::default().map_task(meta, view, rng)
-    }
-
-    fn steal_sequence(
-        &mut self,
-        thief: GlobalWorkerId,
-        view: &dyn ClusterView,
-        rng: &mut SplitMix64,
-    ) -> Vec<StealStep> {
-        let mut out = Vec::new();
-        self.steal_sequence_into(thief, view, rng, &mut out);
-        out
     }
 
     fn steal_sequence_into(
@@ -765,6 +764,68 @@ mod tests {
         );
         assert_eq!(victims[0], PlaceId(3), "most loaded place probed first");
         assert_eq!(victims[1], PlaceId(6));
+    }
+
+    /// A view that counts `shared_len` reads.
+    struct CountingView {
+        inner: StaticView,
+        shared_len_reads: std::cell::Cell<usize>,
+    }
+
+    impl ClusterView for CountingView {
+        fn config(&self) -> &ClusterConfig {
+            self.inner.config()
+        }
+        fn busy_workers(&self, p: PlaceId) -> u32 {
+            self.inner.busy_workers(p)
+        }
+        fn shared_len(&self, p: PlaceId) -> usize {
+            self.shared_len_reads.set(self.shared_len_reads.get() + 1);
+            self.inner.shared_len(p)
+        }
+        fn private_len(&self, w: GlobalWorkerId) -> usize {
+            self.inner.private_len(w)
+        }
+    }
+
+    #[test]
+    fn round_ending_in_the_prefix_reads_no_board_and_burns_the_sweep_draws() {
+        for order in [VictimOrder::Random, VictimOrder::NearestFirstRing] {
+            for places in [1u32, 2, 3, 16, 128] {
+                let mut inner = StaticView::saturated(ClusterConfig::new(places, 2));
+                inner.shared = (0..places as usize).map(|p| p % 3).collect();
+                let view = CountingView {
+                    inner,
+                    shared_len_reads: std::cell::Cell::new(0),
+                };
+                let thief = GlobalWorkerId(1);
+                let label = format!("{order:?} on {places} places");
+
+                let mut eager_rng = SplitMix64::new(11);
+                let eager =
+                    DistWs::with_victim_order(order).steal_sequence(thief, &view, &mut eager_rng);
+                assert_eq!(view.shared_len_reads.get(), places as usize - 1, "{label}");
+
+                // The round the engine asks for when a local tier hits.
+                view.shared_len_reads.set(0);
+                let mut p = DistWs::with_victim_order(order);
+                let mut rng = SplitMix64::new(11);
+                let mut steps = Vec::new();
+                p.steal_phase(StealPhase::Local, thief, &view, &mut rng, &mut steps);
+                assert_eq!(steps, protocol::local_steps(), "{label}");
+                p.steal_phase(StealPhase::Skip, thief, &view, &mut rng, &mut steps);
+                assert_eq!(steps, protocol::local_steps(), "{label}: Skip wrote steps");
+                assert_eq!(view.shared_len_reads.get(), 0, "{label}");
+                assert_eq!(rng, eager_rng, "{label}: Skip is not the sweep's draws");
+
+                // The round it asks for when they all miss.
+                let mut rng = SplitMix64::new(11);
+                p.steal_phase(StealPhase::Local, thief, &view, &mut rng, &mut steps);
+                p.steal_phase(StealPhase::Remote, thief, &view, &mut rng, &mut steps);
+                assert_eq!(steps, eager, "{label}");
+                assert_eq!(rng, eager_rng, "{label}");
+            }
+        }
     }
 
     #[test]

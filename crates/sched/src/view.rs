@@ -98,6 +98,20 @@ impl StealStep {
     }
 }
 
+/// Which part of a steal round [`crate::Policy::steal_phase`] is asked
+/// for. The contract is on [`crate::Policy`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StealPhase {
+    /// The steps a thief walks first (Algorithm 1 lines 9–15 for the
+    /// sweeping policies).
+    Local,
+    /// The steps it walks once those have all failed (lines 18–29).
+    Remote,
+    /// The round ended inside the `Local` steps: make the `rng` draws
+    /// `Remote` would have made, and nothing else.
+    Skip,
+}
+
 /// Engine state a policy may observe when making decisions.
 ///
 /// The view is deliberately narrow: the paper's runtime keeps one

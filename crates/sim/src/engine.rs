@@ -13,7 +13,9 @@ use distws_core::{
 use distws_deque::{SeqPrivateDeque, SeqSharedFifo};
 use distws_metrics::{Counter, Gauge, MetricsSink, NullMetrics, Phase};
 use distws_netsim::{MsgKind, Network, SendFate, Topology};
-use distws_sched::{ClusterView, DequeChoice, Policy, RetryPolicy, StealStep, TaskMeta};
+use distws_sched::{
+    ClusterView, DequeChoice, Policy, RetryPolicy, StealPhase, StealStep, TaskMeta,
+};
 use distws_trace::{
     Histogram, MessageKind, NullSink, PlaceSample, StealTier, TimeSeries, TraceEvent,
     TraceEventKind, TraceSink,
@@ -1309,224 +1311,26 @@ impl<'p> Engine<'p> {
         // Serialize this worker's activities: a steal round cannot
         // start before the previous round / task ended.
         let now = now.max(self.workers[w.index()].avail_at);
-        let mut steps = std::mem::take(&mut self.steal_buf);
-        self.policy
-            .steal_sequence_into(w, &self.board, &mut self.rng, &mut steps);
         let mut overhead = 0u64;
         let mut got: Option<TaskRef> = None;
-        let mut quiesce = false;
-
-        for &step in steps.iter() {
-            if self.metering {
-                if let Some(tier) = step.tier_index() {
-                    self.metrics.add(Counter::steal_attempts(tier), 1);
-                }
-            }
-            match step {
-                StealStep::PollPrivate => {
-                    overhead += self.cfg.cost.private_deque_op_ns;
-                    if let Some(t) = self.workers[w.index()].deque.pop() {
-                        self.board.private_len[w.index()] -= 1;
-                        got = Some(t);
-                    }
-                }
-                StealStep::ProbeNetwork => {
-                    if self.tracing {
-                        self.emit(now + overhead, w, TraceEventKind::NetProbe);
-                    }
-                    overhead += self.cfg.cost.network_probe_ns;
-                }
-                StealStep::StealCoWorker => {
-                    if self.tracing {
-                        self.emit(
-                            now + overhead,
-                            w,
-                            TraceEventKind::StealAttempt {
-                                tier: StealTier::LocalPrivate,
-                            },
-                        );
-                    }
-                    let wpp = self.cfg.cluster.workers_per_place;
-                    let local = w.local(wpp).0;
-                    for off in 1..wpp {
-                        let v = self
-                            .cfg
-                            .cluster
-                            .global(place, distws_core::WorkerId((local + off) % wpp));
-                        overhead += self.cfg.cost.private_deque_op_ns;
-                        if let Some(t) = self.workers[v.index()].deque.steal() {
-                            self.board.private_len[v.index()] -= 1;
-                            overhead += self.cfg.cost.local_steal_ns;
-                            self.steals.local_private += 1;
-                            if self.metering {
-                                self.metrics.add(Counter::steal_successes(0), 1);
-                            }
-                            self.hists.steal_local_private.record(overhead);
-                            if self.tracing {
-                                let task = self.tasks.get(t).id;
-                                self.emit(
-                                    now + overhead,
-                                    w,
-                                    TraceEventKind::StealSuccess {
-                                        tier: StealTier::LocalPrivate,
-                                        task,
-                                        victim: place,
-                                        latency_ns: overhead,
-                                    },
-                                );
-                            }
-                            got = Some(t);
-                            break;
-                        }
-                    }
-                }
-                StealStep::StealLocalShared => {
-                    if self.tracing {
-                        self.emit(
-                            now + overhead,
-                            w,
-                            TraceEventKind::StealAttempt {
-                                tier: StealTier::LocalShared,
-                            },
-                        );
-                    }
-                    overhead += self.cfg.cost.shared_deque_op_ns;
-                    if let Some(t) = self.places[place.index()].shared.take() {
-                        self.board.shared_len[place.index()] -= 1;
-                        self.steals.local_shared += 1;
-                        if self.metering {
-                            self.metrics.add(Counter::steal_successes(1), 1);
-                        }
-                        self.hists.steal_local_shared.record(overhead);
-                        if self.tracing {
-                            let task = self.tasks.get(t).id;
-                            self.emit(
-                                now + overhead,
-                                w,
-                                TraceEventKind::StealSuccess {
-                                    tier: StealTier::LocalShared,
-                                    task,
-                                    victim: place,
-                                    latency_ns: overhead,
-                                },
-                            );
-                        }
-                        got = Some(t);
-                    }
-                }
-                StealStep::StealRemoteShared(victim) => {
-                    if self.tracing {
-                        self.emit(
-                            now + overhead,
-                            w,
-                            TraceEventKind::StealAttempt {
-                                tier: StealTier::Remote,
-                            },
-                        );
-                    }
-                    if self.faulty {
-                        self.remote_steal_faulty(now, &mut overhead, w, place, victim, &mut got);
-                        if got.is_some() {
-                            break;
-                        }
-                        continue;
-                    }
-                    if self.board.shared_len[victim.index()] == 0 {
-                        overhead += self.net.failed_steal(place, victim);
-                        self.drain_net(now + overhead, w);
-                        self.steals.failed_attempts += 1;
-                        continue;
-                    }
-                    let victim_len = self.board.shared_len[victim.index()];
-                    let chunk = self.policy.remote_chunk_for(victim_len);
-                    let mut taken = std::mem::take(&mut self.chunk_buf);
-                    self.places[victim.index()]
-                        .shared
-                        .take_chunk_into(chunk, &mut taken);
-                    self.board.shared_len[victim.index()] -= taken.len();
-                    let mut bytes = 0;
-                    for &t in &taken {
-                        let locality = self.tasks.get(t).locality;
-                        assert!(
-                            self.policy.may_migrate(locality),
-                            "policy {} migrated a non-migratable task",
-                            self.policy.name()
-                        );
-                        bytes +=
-                            self.cfg.cost.closure_bytes + self.tasks.get(t).footprint.total_bytes();
-                    }
-                    overhead += self.net.migrate_task(victim, place, bytes);
-                    self.drain_net(now + overhead, w);
-                    self.steals.remote += taken.len() as u64;
-                    if self.metering {
-                        self.metrics
-                            .add(Counter::steal_successes(2), taken.len() as u64);
-                    }
-                    if let Some(&first) = taken.first() {
-                        {
-                            let t = self.tasks.get_mut(first);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        self.hists.steal_remote.record(overhead);
-                        if self.tracing {
-                            let task = self.tasks.get(first).id;
-                            self.emit(
-                                now + overhead,
-                                w,
-                                TraceEventKind::StealSuccess {
-                                    tier: StealTier::Remote,
-                                    task,
-                                    victim,
-                                    latency_ns: overhead,
-                                },
-                            );
-                            self.emit(
-                                now + overhead,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        got = Some(first);
-                    }
-                    // Chunk extras land at the thief place and are
-                    // re-mapped there, feeding co-located workers.
-                    let arrive_at = now + overhead;
-                    for &t in taken.iter().skip(1) {
-                        {
-                            let t = self.tasks.get_mut(t);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        if self.tracing {
-                            let task = self.tasks.get(t).id;
-                            self.emit(
-                                arrive_at,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        self.schedule(arrive_at, EventKind::Arrive(t));
-                    }
-                    taken.clear();
-                    self.chunk_buf = taken;
-                }
-                StealStep::Quiesce => {
-                    quiesce = true;
-                    break;
-                }
-            }
-            if got.is_some() {
-                break;
-            }
+        // A two-phase round (`Policy` docs): the distributed sweep is
+        // built only once every local tier has failed, and a round that
+        // ends before that burns the sweep's rng draws instead.
+        let mut steps = std::mem::take(&mut self.steal_buf);
+        self.policy
+            .steal_phase(StealPhase::Local, w, &self.board, &mut self.rng, &mut steps);
+        let mut quiesce = self.walk_steps(now, w, &steps, &mut overhead, &mut got);
+        let ended_locally = got.is_some() || quiesce;
+        let local = steps.len();
+        let next = if ended_locally {
+            StealPhase::Skip
+        } else {
+            StealPhase::Remote
+        };
+        self.policy
+            .steal_phase(next, w, &self.board, &mut self.rng, &mut steps);
+        if !ended_locally {
+            quiesce = self.walk_steps(now, w, &steps[local..], &mut overhead, &mut got);
         }
         self.steal_buf = steps;
 
@@ -1565,6 +1369,230 @@ impl<'p> Engine<'p> {
                 self.note_parked(now + overhead, w);
             }
         }
+    }
+
+    /// Execute steal steps in order until one yields a task (left in
+    /// `got`) or tells the worker to quiesce (returns `true`), adding
+    /// what the attempts cost to `overhead`.
+    fn walk_steps(
+        &mut self,
+        now: u64,
+        w: GlobalWorkerId,
+        steps: &[StealStep],
+        overhead: &mut u64,
+        got: &mut Option<TaskRef>,
+    ) -> bool {
+        let place = self.place_of(w);
+        for &step in steps {
+            if self.metering {
+                if let Some(tier) = step.tier_index() {
+                    self.metrics.add(Counter::steal_attempts(tier), 1);
+                }
+            }
+            match step {
+                StealStep::PollPrivate => {
+                    *overhead += self.cfg.cost.private_deque_op_ns;
+                    if let Some(t) = self.workers[w.index()].deque.pop() {
+                        self.board.private_len[w.index()] -= 1;
+                        *got = Some(t);
+                    }
+                }
+                StealStep::ProbeNetwork => {
+                    if self.tracing {
+                        self.emit(now + *overhead, w, TraceEventKind::NetProbe);
+                    }
+                    *overhead += self.cfg.cost.network_probe_ns;
+                }
+                StealStep::StealCoWorker => {
+                    if self.tracing {
+                        self.emit(
+                            now + *overhead,
+                            w,
+                            TraceEventKind::StealAttempt {
+                                tier: StealTier::LocalPrivate,
+                            },
+                        );
+                    }
+                    let wpp = self.cfg.cluster.workers_per_place;
+                    let local = w.local(wpp).0;
+                    for off in 1..wpp {
+                        let v = self
+                            .cfg
+                            .cluster
+                            .global(place, distws_core::WorkerId((local + off) % wpp));
+                        *overhead += self.cfg.cost.private_deque_op_ns;
+                        if let Some(t) = self.workers[v.index()].deque.steal() {
+                            self.board.private_len[v.index()] -= 1;
+                            *overhead += self.cfg.cost.local_steal_ns;
+                            self.steals.local_private += 1;
+                            if self.metering {
+                                self.metrics.add(Counter::steal_successes(0), 1);
+                            }
+                            self.hists.steal_local_private.record(*overhead);
+                            if self.tracing {
+                                let task = self.tasks.get(t).id;
+                                self.emit(
+                                    now + *overhead,
+                                    w,
+                                    TraceEventKind::StealSuccess {
+                                        tier: StealTier::LocalPrivate,
+                                        task,
+                                        victim: place,
+                                        latency_ns: *overhead,
+                                    },
+                                );
+                            }
+                            *got = Some(t);
+                            break;
+                        }
+                    }
+                }
+                StealStep::StealLocalShared => {
+                    if self.tracing {
+                        self.emit(
+                            now + *overhead,
+                            w,
+                            TraceEventKind::StealAttempt {
+                                tier: StealTier::LocalShared,
+                            },
+                        );
+                    }
+                    *overhead += self.cfg.cost.shared_deque_op_ns;
+                    if let Some(t) = self.places[place.index()].shared.take() {
+                        self.board.shared_len[place.index()] -= 1;
+                        self.steals.local_shared += 1;
+                        if self.metering {
+                            self.metrics.add(Counter::steal_successes(1), 1);
+                        }
+                        self.hists.steal_local_shared.record(*overhead);
+                        if self.tracing {
+                            let task = self.tasks.get(t).id;
+                            self.emit(
+                                now + *overhead,
+                                w,
+                                TraceEventKind::StealSuccess {
+                                    tier: StealTier::LocalShared,
+                                    task,
+                                    victim: place,
+                                    latency_ns: *overhead,
+                                },
+                            );
+                        }
+                        *got = Some(t);
+                    }
+                }
+                StealStep::StealRemoteShared(victim) => {
+                    if self.tracing {
+                        self.emit(
+                            now + *overhead,
+                            w,
+                            TraceEventKind::StealAttempt {
+                                tier: StealTier::Remote,
+                            },
+                        );
+                    }
+                    if self.faulty {
+                        self.remote_steal_faulty(now, overhead, w, place, victim, got);
+                        if got.is_some() {
+                            break;
+                        }
+                        continue;
+                    }
+                    if self.board.shared_len[victim.index()] == 0 {
+                        *overhead += self.net.failed_steal(place, victim);
+                        self.drain_net(now + *overhead, w);
+                        self.steals.failed_attempts += 1;
+                        continue;
+                    }
+                    let victim_len = self.board.shared_len[victim.index()];
+                    let chunk = self.policy.remote_chunk_for(victim_len);
+                    let mut taken = std::mem::take(&mut self.chunk_buf);
+                    self.places[victim.index()]
+                        .shared
+                        .take_chunk_into(chunk, &mut taken);
+                    self.board.shared_len[victim.index()] -= taken.len();
+                    let mut bytes = 0;
+                    for &t in &taken {
+                        let locality = self.tasks.get(t).locality;
+                        assert!(
+                            self.policy.may_migrate(locality),
+                            "policy {} migrated a non-migratable task",
+                            self.policy.name()
+                        );
+                        bytes +=
+                            self.cfg.cost.closure_bytes + self.tasks.get(t).footprint.total_bytes();
+                    }
+                    *overhead += self.net.migrate_task(victim, place, bytes);
+                    self.drain_net(now + *overhead, w);
+                    self.steals.remote += taken.len() as u64;
+                    if self.metering {
+                        self.metrics
+                            .add(Counter::steal_successes(2), taken.len() as u64);
+                    }
+                    if let Some(&first) = taken.first() {
+                        {
+                            let t = self.tasks.get_mut(first);
+                            t.exec_home = place;
+                            t.carried = true;
+                        }
+                        self.hists.steal_remote.record(*overhead);
+                        if self.tracing {
+                            let task = self.tasks.get(first).id;
+                            self.emit(
+                                now + *overhead,
+                                w,
+                                TraceEventKind::StealSuccess {
+                                    tier: StealTier::Remote,
+                                    task,
+                                    victim,
+                                    latency_ns: *overhead,
+                                },
+                            );
+                            self.emit(
+                                now + *overhead,
+                                w,
+                                TraceEventKind::Migration {
+                                    task,
+                                    from: victim,
+                                    to: place,
+                                },
+                            );
+                        }
+                        *got = Some(first);
+                    }
+                    // Chunk extras land at the thief place and are
+                    // re-mapped there, feeding co-located workers.
+                    let arrive_at = now + *overhead;
+                    for &t in taken.iter().skip(1) {
+                        {
+                            let t = self.tasks.get_mut(t);
+                            t.exec_home = place;
+                            t.carried = true;
+                        }
+                        if self.tracing {
+                            let task = self.tasks.get(t).id;
+                            self.emit(
+                                arrive_at,
+                                w,
+                                TraceEventKind::Migration {
+                                    task,
+                                    from: victim,
+                                    to: place,
+                                },
+                            );
+                        }
+                        self.schedule(arrive_at, EventKind::Arrive(t));
+                    }
+                    taken.clear();
+                    self.chunk_buf = taken;
+                }
+                StealStep::Quiesce => return true,
+            }
+            if got.is_some() {
+                break;
+            }
+        }
+        false
     }
 
     /// Fault-tolerant remote steal probe (Algorithm 1 line 24 under an
