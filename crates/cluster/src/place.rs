@@ -1379,6 +1379,8 @@ struct WorkerCtx {
     policy: Box<dyn Policy>,
     rng: SplitMix64,
     retry: WallRetry,
+    /// Reused across rounds: the policy's step sequence.
+    steal_buf: Vec<StealStep>,
 }
 
 impl WorkerCtx {
@@ -1417,11 +1419,11 @@ impl WorkerCtx {
     /// (the conformance checker replays it against Algorithm 1).
     fn acquire(&mut self, idle_since: Instant) -> Option<WireTask> {
         let node = Arc::clone(&self.node);
-        let steps = self
-            .policy
-            .steal_sequence(self.gw, &node.board, &mut self.rng);
+        let mut steps = std::mem::take(&mut self.steal_buf);
+        self.policy
+            .steal_sequence_into(self.gw, &node.board, &mut self.rng, &mut steps);
         let mut found = None;
-        for step in steps {
+        for &step in &steps {
             match step {
                 StealStep::PollPrivate => {
                     if let Some(t) = self.deque.pop() {
@@ -1499,6 +1501,7 @@ impl WorkerCtx {
                 break;
             }
         }
+        self.steal_buf = steps;
         let got = found.is_some();
         self.policy.note_result(self.gw, got);
         found
@@ -2129,6 +2132,7 @@ pub fn run_place(cfg: PlaceConfig) -> io::Result<i32> {
                 policy,
                 rng,
                 retry: WallRetry::new(cluster_retry_defaults()),
+                steal_buf: Vec::new(),
             };
             ctx.run();
         }));

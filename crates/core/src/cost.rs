@@ -80,13 +80,6 @@ impl CostModel {
     pub fn migration_ns(&self, footprint_bytes: u64) -> u64 {
         self.message_ns(64) + self.message_ns(self.closure_bytes + footprint_bytes)
     }
-
-    /// Cost of a remote data reference: request + reply carrying
-    /// `bytes`.
-    #[inline]
-    pub fn remote_ref_ns(&self, bytes: u64) -> u64 {
-        self.message_ns(64) + self.message_ns(bytes)
-    }
 }
 
 #[cfg(test)]

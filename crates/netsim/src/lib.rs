@@ -249,30 +249,6 @@ impl Network {
         }
     }
 
-    /// Cost of a full task migration from victim place `src` to thief
-    /// place `dst`: steal request + reply carrying closure + footprint.
-    pub fn migrate_task(&mut self, src: PlaceId, dst: PlaceId, footprint_bytes: u64) -> u64 {
-        let req = self.send(dst, src, MsgKind::StealRequest, 64);
-        let closure = self.cost.closure_bytes;
-        let reply = self.send(src, dst, MsgKind::TaskMigrate, closure + footprint_bytes);
-        req + reply
-    }
-
-    /// Cost of a remote data reference of `bytes` from a task at `from`
-    /// to data homed at `home`: request + data reply.
-    pub fn remote_ref(&mut self, from: PlaceId, home: PlaceId, bytes: u64) -> u64 {
-        let req = self.send(from, home, MsgKind::DataRequest, 64);
-        let rep = self.send(home, from, MsgKind::DataReply, bytes);
-        req + rep
-    }
-
-    /// A failed remote steal probe: request + empty reply.
-    pub fn failed_steal(&mut self, thief: PlaceId, victim: PlaceId) -> u64 {
-        let req = self.send(thief, victim, MsgKind::StealRequest, 64);
-        let rep = self.send(victim, thief, MsgKind::StealReply, 16);
-        req + rep
-    }
-
     /// Accumulated message counters (Table III source data).
     pub fn counts(&self) -> &MessageCounts {
         &self.counts
@@ -332,38 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn migration_counts_request_and_payload() {
-        let mut n = net();
-        let cost = n.migrate_task(PlaceId(2), PlaceId(0), 4_096);
-        assert!(cost >= 2 * CostModel::default().net_latency_ns);
-        assert_eq!(n.counts().steal_requests, 1);
-        assert_eq!(n.counts().task_migrations, 1);
-        assert_eq!(n.counts().total(), 2);
-        // payload includes the closure bytes on top of the footprint
-        assert_eq!(
-            n.counts().bytes,
-            64 + CostModel::default().closure_bytes + 4_096
-        );
-    }
-
-    #[test]
-    fn remote_ref_round_trip() {
-        let mut n = net();
-        n.remote_ref(PlaceId(0), PlaceId(3), 256);
-        assert_eq!(n.counts().data_requests, 1);
-        assert_eq!(n.counts().data_replies, 1);
-    }
-
-    #[test]
-    fn failed_steal_costs_round_trip() {
-        let mut n = net();
-        let c = n.failed_steal(PlaceId(0), PlaceId(1));
-        assert_eq!(n.counts().steal_requests, 1);
-        assert_eq!(n.counts().steal_replies, 1);
-        assert!(c >= 2 * CostModel::default().net_latency_ns);
-    }
-
-    #[test]
     fn ring_topology_multiplies_latency_by_hops() {
         let mut n = Network::new(8, CostModel::default(), Topology::Ring);
         let near = n.send(PlaceId(0), PlaceId(1), MsgKind::Control, 0);
@@ -376,13 +320,14 @@ mod tests {
         let mut n = net();
         n.set_recording(true);
         n.send(PlaceId(0), PlaceId(0), MsgKind::Control, 8); // intra: not logged
-        n.migrate_task(PlaceId(2), PlaceId(0), 100);
+        n.send(PlaceId(0), PlaceId(2), MsgKind::StealRequest, 64);
+        n.send(PlaceId(2), PlaceId(0), MsgKind::TaskMigrate, 100);
         let log = n.take_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].kind, MsgKind::StealRequest);
         assert_eq!((log[0].src, log[0].dst), (PlaceId(0), PlaceId(2)));
         assert_eq!(log[1].kind, MsgKind::TaskMigrate);
-        assert_eq!(log[1].bytes, CostModel::default().closure_bytes + 100);
+        assert_eq!(log[1].bytes, 100);
         assert!(n.take_log().is_empty(), "take_log drains");
     }
 
@@ -400,7 +345,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut n = net();
-        n.migrate_task(PlaceId(0), PlaceId(1), 10);
+        n.send(PlaceId(0), PlaceId(1), MsgKind::TaskMigrate, 10);
         n.reset_counts();
         assert_eq!(n.counts().total(), 0);
         assert_eq!(n.edge_count(PlaceId(0), PlaceId(1)), 0);

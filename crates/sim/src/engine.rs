@@ -470,11 +470,9 @@ struct Engine<'p> {
     running: Vec<Option<TaskId>>,
     /// When each parked worker went dormant/quiesced (dormancy hist).
     parked_since: Vec<Option<u64>>,
-    /// Fault injection. `faulty` caches "the fault config is
-    /// non-empty": every fault code path is gated on it so a fault-free
-    /// run takes the exact pre-fault-injection instruction sequence
-    /// (no extra random draws, costs or counters).
-    faulty: bool,
+    /// Fault injection. There is no fault-free mode: a clean run is
+    /// the same code over an all-alive, nominal-speed cluster and a
+    /// network that delivers everything (no random draw, no timeout).
     alive: Vec<bool>,
     /// Per-place straggler multiplier (1.0 = nominal speed).
     slow: Vec<f64>,
@@ -495,6 +493,9 @@ impl<'p> Engine<'p> {
         metrics: &'p mut dyn MetricsSink,
     ) -> Self {
         let cluster = cfg.cluster.clone();
+        cfg.faults
+            .validate(cluster.places)
+            .unwrap_or_else(|e| panic!("invalid fault config: {e}"));
         let nw = cluster.total_workers() as usize;
         let np = cluster.places as usize;
         let workers = (0..nw)
@@ -570,7 +571,6 @@ impl<'p> Engine<'p> {
             hists: Hists::default(),
             running: vec![None; nw],
             parked_since: vec![None; nw],
-            faulty: !cfg.faults.is_empty(),
             alive: vec![true; np],
             slow: {
                 let mut slow = vec![1.0; np];
@@ -588,24 +588,14 @@ impl<'p> Engine<'p> {
             detect_ns: cfg.faults.detect_ns,
             lease_timeout_ns: cfg.faults.lease_timeout_ns,
         };
-        if engine.faulty {
-            engine
-                .cfg
-                .faults
-                .validate(engine.cfg.cluster.places)
-                .unwrap_or_else(|e| panic!("invalid fault config: {e}"));
-            let kills = engine.cfg.faults.kills.clone();
-            for (p, at) in kills {
-                engine.schedule(at, EventKind::PlaceFail(p, false));
-            }
-            let hard_kills = engine.cfg.faults.hard_kills.clone();
-            for (p, at) in hard_kills {
-                engine.schedule(at, EventKind::PlaceFail(p, true));
-            }
-            let restarts = engine.cfg.faults.restarts.clone();
-            for (p, at) in restarts {
-                engine.schedule(at, EventKind::PlaceRestart(p));
-            }
+        for (p, at) in &cfg.faults.kills {
+            engine.schedule(*at, EventKind::PlaceFail(*p, false));
+        }
+        for (p, at) in &cfg.faults.hard_kills {
+            engine.schedule(*at, EventKind::PlaceFail(*p, true));
+        }
+        for (p, at) in &cfg.faults.restarts {
+            engine.schedule(*at, EventKind::PlaceRestart(*p));
         }
         engine
     }
@@ -709,8 +699,9 @@ impl<'p> Engine<'p> {
 
     /// Reliable cross-place send of a task-carrying message: the
     /// sender retransmits after an ack timeout until one copy gets
-    /// through. Returns the total delay from `now` to delivery. With
-    /// no faults installed this is exactly [`Network::send`].
+    /// through. Returns the total delay from `now` to delivery. Over a
+    /// network that drops nothing the first copy lands, so this is
+    /// exactly [`Network::send`].
     fn reliable_send(
         &mut self,
         now: u64,
@@ -719,9 +710,6 @@ impl<'p> Engine<'p> {
         kind: MsgKind,
         bytes: u64,
     ) -> u64 {
-        if !self.faulty {
-            return self.net.send(src, dst, kind, bytes);
-        }
         let mut delay = 0u64;
         let mut attempts = 0u32;
         loop {
@@ -1088,7 +1076,7 @@ impl<'p> Engine<'p> {
         }
         // A worker on a failed place flushes its finished task (the
         // body already ran) and halts instead of stealing again.
-        if self.faulty && !self.alive[self.place_of(w).index()] {
+        if !self.alive[self.place_of(w).index()] {
             self.unclaim(w);
             return;
         }
@@ -1101,7 +1089,7 @@ impl<'p> Engine<'p> {
         let place = self.tasks.get(tr).exec_home;
         // A task landing at a dead place was in flight when the place
         // failed (or was queued behind the failure event): recover it.
-        if self.faulty && !self.alive[place.index()] {
+        if !self.alive[place.index()] {
             self.recover_task(now, tr, place, 0);
             return;
         }
@@ -1302,7 +1290,7 @@ impl<'p> Engine<'p> {
     fn acquire(&mut self, now: u64, w: GlobalWorkerId) {
         let place = self.place_of(w);
         // A worker on a dead place never steals again (until restart).
-        if self.faulty && !self.alive[place.index()] {
+        if !self.alive[place.index()] {
             self.unclaim(w);
             self.workers[w.index()].status = WorkerStatus::Dormant;
             self.refresh_bits(w);
@@ -1424,24 +1412,15 @@ impl<'p> Engine<'p> {
                         if let Some(t) = self.workers[v.index()].deque.steal() {
                             self.board.private_len[v.index()] -= 1;
                             *overhead += self.cfg.cost.local_steal_ns;
-                            self.steals.local_private += 1;
-                            if self.metering {
-                                self.metrics.add(Counter::steal_successes(0), 1);
-                            }
-                            self.hists.steal_local_private.record(*overhead);
-                            if self.tracing {
-                                let task = self.tasks.get(t).id;
-                                self.emit(
-                                    now + *overhead,
-                                    w,
-                                    TraceEventKind::StealSuccess {
-                                        tier: StealTier::LocalPrivate,
-                                        task,
-                                        victim: place,
-                                        latency_ns: *overhead,
-                                    },
-                                );
-                            }
+                            self.note_steal(
+                                now,
+                                w,
+                                StealTier::LocalPrivate,
+                                t,
+                                place,
+                                1,
+                                *overhead,
+                            );
                             *got = Some(t);
                             break;
                         }
@@ -1460,24 +1439,7 @@ impl<'p> Engine<'p> {
                     *overhead += self.cfg.cost.shared_deque_op_ns;
                     if let Some(t) = self.places[place.index()].shared.take() {
                         self.board.shared_len[place.index()] -= 1;
-                        self.steals.local_shared += 1;
-                        if self.metering {
-                            self.metrics.add(Counter::steal_successes(1), 1);
-                        }
-                        self.hists.steal_local_shared.record(*overhead);
-                        if self.tracing {
-                            let task = self.tasks.get(t).id;
-                            self.emit(
-                                now + *overhead,
-                                w,
-                                TraceEventKind::StealSuccess {
-                                    tier: StealTier::LocalShared,
-                                    task,
-                                    victim: place,
-                                    latency_ns: *overhead,
-                                },
-                            );
-                        }
+                        self.note_steal(now, w, StealTier::LocalShared, t, place, 1, *overhead);
                         *got = Some(t);
                     }
                 }
@@ -1491,100 +1453,7 @@ impl<'p> Engine<'p> {
                             },
                         );
                     }
-                    if self.faulty {
-                        self.remote_steal_faulty(now, overhead, w, place, victim, got);
-                        if got.is_some() {
-                            break;
-                        }
-                        continue;
-                    }
-                    if self.board.shared_len[victim.index()] == 0 {
-                        *overhead += self.net.failed_steal(place, victim);
-                        self.drain_net(now + *overhead, w);
-                        self.steals.failed_attempts += 1;
-                        continue;
-                    }
-                    let victim_len = self.board.shared_len[victim.index()];
-                    let chunk = self.policy.remote_chunk_for(victim_len);
-                    let mut taken = std::mem::take(&mut self.chunk_buf);
-                    self.places[victim.index()]
-                        .shared
-                        .take_chunk_into(chunk, &mut taken);
-                    self.board.shared_len[victim.index()] -= taken.len();
-                    let mut bytes = 0;
-                    for &t in &taken {
-                        let locality = self.tasks.get(t).locality;
-                        assert!(
-                            self.policy.may_migrate(locality),
-                            "policy {} migrated a non-migratable task",
-                            self.policy.name()
-                        );
-                        bytes +=
-                            self.cfg.cost.closure_bytes + self.tasks.get(t).footprint.total_bytes();
-                    }
-                    *overhead += self.net.migrate_task(victim, place, bytes);
-                    self.drain_net(now + *overhead, w);
-                    self.steals.remote += taken.len() as u64;
-                    if self.metering {
-                        self.metrics
-                            .add(Counter::steal_successes(2), taken.len() as u64);
-                    }
-                    if let Some(&first) = taken.first() {
-                        {
-                            let t = self.tasks.get_mut(first);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        self.hists.steal_remote.record(*overhead);
-                        if self.tracing {
-                            let task = self.tasks.get(first).id;
-                            self.emit(
-                                now + *overhead,
-                                w,
-                                TraceEventKind::StealSuccess {
-                                    tier: StealTier::Remote,
-                                    task,
-                                    victim,
-                                    latency_ns: *overhead,
-                                },
-                            );
-                            self.emit(
-                                now + *overhead,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        *got = Some(first);
-                    }
-                    // Chunk extras land at the thief place and are
-                    // re-mapped there, feeding co-located workers.
-                    let arrive_at = now + *overhead;
-                    for &t in taken.iter().skip(1) {
-                        {
-                            let t = self.tasks.get_mut(t);
-                            t.exec_home = place;
-                            t.carried = true;
-                        }
-                        if self.tracing {
-                            let task = self.tasks.get(t).id;
-                            self.emit(
-                                arrive_at,
-                                w,
-                                TraceEventKind::Migration {
-                                    task,
-                                    from: victim,
-                                    to: place,
-                                },
-                            );
-                        }
-                        self.schedule(arrive_at, EventKind::Arrive(t));
-                    }
-                    taken.clear();
-                    self.chunk_buf = taken;
+                    *got = self.remote_steal(now, overhead, w, place, victim);
                 }
                 StealStep::Quiesce => return true,
             }
@@ -1595,25 +1464,71 @@ impl<'p> Engine<'p> {
         false
     }
 
-    /// Fault-tolerant remote steal probe (Algorithm 1 line 24 under an
-    /// unreliable interconnect). The probe carries a timeout: a lost
-    /// request, lost reply, lost migration payload or dead victim all
-    /// surface as a timeout, after which the thief backs off
-    /// exponentially (with jitter) and retries the same victim while
-    /// its budget lasts, then falls through to the next victim in the
-    /// steal order. A chunk whose migration payload is lost stays
-    /// owned by the victim (lease): it is re-enqueued there once the
-    /// lease expires — never lost, never double-run.
-    fn remote_steal_faulty(
+    /// A steal found work: count it in the report, the metrics sink and
+    /// the tier's latency histogram, and emit the trace line. `n` tasks
+    /// were acquired (a remote chunk; 1 on the local tiers), `task`
+    /// being the one the thief runs next, `latency_ns` into the round.
+    #[allow(clippy::too_many_arguments)]
+    fn note_steal(
+        &mut self,
+        now: u64,
+        w: GlobalWorkerId,
+        tier: StealTier,
+        task: TaskRef,
+        victim: PlaceId,
+        n: u64,
+        latency_ns: u64,
+    ) {
+        let (count, hist) = match tier {
+            StealTier::LocalPrivate => (
+                &mut self.steals.local_private,
+                &mut self.hists.steal_local_private,
+            ),
+            StealTier::LocalShared => (
+                &mut self.steals.local_shared,
+                &mut self.hists.steal_local_shared,
+            ),
+            StealTier::Remote => (&mut self.steals.remote, &mut self.hists.steal_remote),
+        };
+        *count += n;
+        hist.record(latency_ns);
+        if self.metering {
+            self.metrics.add(Counter::steal_successes(tier as usize), n);
+        }
+        if self.tracing {
+            let task = self.tasks.get(task).id;
+            self.emit(
+                now + latency_ns,
+                w,
+                TraceEventKind::StealSuccess {
+                    tier,
+                    task,
+                    victim,
+                    latency_ns,
+                },
+            );
+        }
+    }
+
+    /// Remote steal probe (Algorithm 1 line 24), the one protocol for
+    /// reliable and unreliable interconnects alike. The probe carries a
+    /// timeout: a lost request, lost reply, lost migration payload or
+    /// dead victim all surface as a timeout, after which the thief
+    /// backs off exponentially (with jitter) and retries the same
+    /// victim while its budget lasts, then falls through to the next
+    /// victim in the steal order. A chunk whose migration payload is
+    /// lost stays owned by the victim (lease): it is re-enqueued there
+    /// once the lease expires — never lost, never double-run. When
+    /// every message is delivered and the victim is alive the first
+    /// attempt always returns, so a clean run never reaches the timeout.
+    fn remote_steal(
         &mut self,
         now: u64,
         overhead: &mut u64,
         w: GlobalWorkerId,
         place: PlaceId,
         victim: PlaceId,
-        got: &mut Option<TaskRef>,
-    ) {
-        let retry = self.retry;
+    ) -> Option<TaskRef> {
         let mut attempt: u32 = 1;
         loop {
             let send_t = now + *overhead;
@@ -1632,12 +1547,11 @@ impl<'p> Engine<'p> {
                             MsgKind::StealReply,
                             16,
                         ) {
-                            // Clean round trip, empty victim: behave
-                            // exactly like the fault-free failed probe.
+                            // Clean round trip, empty victim.
                             *overhead += c_req + c_rep;
                             self.drain_net(now + *overhead, w);
                             self.steals.failed_attempts += 1;
-                            return;
+                            return None;
                         }
                         // Reply lost → thief times out below.
                     } else {
@@ -1648,16 +1562,17 @@ impl<'p> Engine<'p> {
                             .shared
                             .take_chunk_into(chunk, &mut taken);
                         self.board.shared_len[victim.index()] -= taken.len();
-                        let mut bytes = 0;
+                        // The reply's own envelope, then closure and
+                        // encapsulated footprint per task in the chunk.
+                        let mut bytes = self.cfg.cost.closure_bytes;
                         for &t in &taken {
-                            let locality = self.tasks.get(t).locality;
+                            let task = self.tasks.get(t);
                             assert!(
-                                self.policy.may_migrate(locality),
+                                self.policy.may_migrate(task.locality),
                                 "policy {} migrated a non-migratable task",
                                 self.policy.name()
                             );
-                            bytes += self.cfg.cost.closure_bytes
-                                + self.tasks.get(t).footprint.total_bytes();
+                            bytes += self.cfg.cost.closure_bytes + task.footprint.total_bytes();
                         }
                         match self.net.transmit(
                             send_t + c_req,
@@ -1669,51 +1584,30 @@ impl<'p> Engine<'p> {
                             SendFate::Delivered { cost_ns: c_mig } => {
                                 *overhead += c_req + c_mig;
                                 self.drain_net(now + *overhead, w);
-                                self.steals.remote += taken.len() as u64;
-                                if self.metering {
-                                    self.metrics
-                                        .add(Counter::steal_successes(2), taken.len() as u64);
+                                let first = taken.first().copied();
+                                if let Some(first) = first {
+                                    let n = taken.len() as u64;
+                                    self.note_steal(
+                                        now,
+                                        w,
+                                        StealTier::Remote,
+                                        first,
+                                        victim,
+                                        n,
+                                        *overhead,
+                                    );
                                 }
-                                if let Some(&first) = taken.first() {
-                                    {
-                                        let t = self.tasks.get_mut(first);
-                                        t.exec_home = place;
-                                        t.carried = true;
-                                    }
-                                    self.hists.steal_remote.record(*overhead);
-                                    if self.tracing {
-                                        let task = self.tasks.get(first).id;
-                                        self.emit(
-                                            now + *overhead,
-                                            w,
-                                            TraceEventKind::StealSuccess {
-                                                tier: StealTier::Remote,
-                                                task,
-                                                victim,
-                                                latency_ns: *overhead,
-                                            },
-                                        );
-                                        self.emit(
-                                            now + *overhead,
-                                            w,
-                                            TraceEventKind::Migration {
-                                                task,
-                                                from: victim,
-                                                to: place,
-                                            },
-                                        );
-                                    }
-                                    *got = Some(first);
-                                }
+                                // The thief runs the first task; the
+                                // chunk extras land at its place and
+                                // are re-mapped there, feeding
+                                // co-located workers.
                                 let arrive_at = now + *overhead;
-                                for &t in taken.iter().skip(1) {
-                                    {
-                                        let t = self.tasks.get_mut(t);
-                                        t.exec_home = place;
-                                        t.carried = true;
-                                    }
+                                for (i, &t) in taken.iter().enumerate() {
+                                    let task = self.tasks.get_mut(t);
+                                    task.exec_home = place;
+                                    task.carried = true;
                                     if self.tracing {
-                                        let task = self.tasks.get(t).id;
+                                        let task = task.id;
                                         self.emit(
                                             arrive_at,
                                             w,
@@ -1724,11 +1618,13 @@ impl<'p> Engine<'p> {
                                             },
                                         );
                                     }
-                                    self.schedule(arrive_at, EventKind::Arrive(t));
+                                    if i > 0 {
+                                        self.schedule(arrive_at, EventKind::Arrive(t));
+                                    }
                                 }
                                 taken.clear();
                                 self.chunk_buf = taken;
-                                return;
+                                return first;
                             }
                             SendFate::Dropped => {
                                 // Migration payload lost. The victim
@@ -1750,7 +1646,7 @@ impl<'p> Engine<'p> {
             }
             // Timeout: request, reply or payload never arrived — or
             // the victim is dead.
-            *overhead += retry.timeout_ns;
+            *overhead += self.retry.timeout_ns;
             self.drain_net(now + *overhead, w);
             self.fault_stats.steal_timeouts += 1;
             self.steals.failed_attempts += 1;
@@ -1761,11 +1657,11 @@ impl<'p> Engine<'p> {
                     TraceEventKind::StealTimeout { victim, attempt },
                 );
             }
-            if attempt > retry.budget {
-                return;
+            if attempt > self.retry.budget {
+                return None;
             }
             self.fault_stats.steal_retries += 1;
-            *overhead += retry.backoff_ns(attempt, &mut self.fault_rng);
+            *overhead += self.retry.backoff_ns(attempt, &mut self.fault_rng);
             attempt += 1;
         }
     }
@@ -1823,10 +1719,8 @@ impl<'p> Engine<'p> {
         for a in &scope.accesses {
             let local = a.home == place || (task.carried && task.footprint.contains(a.obj));
             if !local {
-                if !self.faulty {
-                    duration += self.net.remote_ref(place, a.home, a.bytes);
-                } else if self.alive[a.home.index()] {
-                    // Per-leg fault-aware round trip; each lost leg is
+                if self.alive[a.home.index()] {
+                    // Request + data reply; each lost leg is
                     // retransmitted after an ack timeout.
                     let req = self.reliable_send(t, place, a.home, MsgKind::DataRequest, 64);
                     let rep =
@@ -1860,11 +1754,9 @@ impl<'p> Engine<'p> {
 
         // Straggler model: a slow place stretches everything its
         // workers do (compute, spawn bookkeeping, stalls).
-        if self.faulty {
-            let f = self.slow[place.index()];
-            if f != 1.0 {
-                duration = (duration as f64 * f) as u64;
-            }
+        let f = self.slow[place.index()];
+        if f != 1.0 {
+            duration = (duration as f64 * f) as u64;
         }
 
         self.hists.granularity.record(duration);

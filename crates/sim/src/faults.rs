@@ -4,9 +4,11 @@
 //! can go wrong in a run: a network [`FaultPlan`] (drops, duplication,
 //! jitter, spikes, partitions), fail-stop place kills with optional
 //! restarts, straggler (slow-place) multipliers, and the
-//! timeout/backoff [`RetryPolicy`] thieves use against it. An empty
-//! config (the default) leaves the engine byte-identical to a build
-//! without fault injection.
+//! timeout/backoff [`RetryPolicy`] thieves use against it. The engine
+//! has one code path for all of it: under an empty config (the
+//! default), or one whose faults never fire, every message is
+//! delivered and every place alive, so no timeout, lease or recovery
+//! is reached and the run is byte-identical to a fault-free one.
 //!
 //! [`FaultSpec`] is the parsed form of the `--faults` command-line
 //! grammar (see `docs/faults.md`). Times may be given as absolute
@@ -67,8 +69,9 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether this config injects nothing. The retry/detection knobs
-    /// alone don't count: the clean engine path never consults them.
+    /// Whether this config injects nothing (level 0 of a chaos sweep).
+    /// The retry/detection knobs alone don't count: with every message
+    /// delivered and every place alive no timeout or lease can fire.
     pub fn is_empty(&self) -> bool {
         self.net.is_empty()
             && self.kills.is_empty()

@@ -4,7 +4,7 @@
 
 use distws_core::rng::SplitMix64;
 use distws_core::{ClusterConfig, Locality, PlaceId, TaskSpec};
-use distws_netsim::{FaultPlan, LinkFault};
+use distws_netsim::{FaultPlan, LinkFault, Partition};
 use distws_sched::{AdaptiveWs, DistWs, DistWsNs, LifelineWs, Policy, RandomWs, X10Ws};
 use distws_sim::{FaultConfig, SimConfig, Simulation};
 use distws_trace::{TraceEvent, TraceEventKind, TraceSink};
@@ -394,9 +394,12 @@ fn different_fault_seeds_differ() {
     );
 }
 
-/// The tentpole guarantee: an *empty* fault plan changes nothing — not
-/// one virtual-time value, counter, or trace byte — even when the
-/// retry/detection knobs are set to exotic values.
+/// The one-path guarantee: a fault config that never fires changes
+/// nothing — not one virtual-time value, counter, or trace byte. Two
+/// inputs: an *empty* plan with the retry/detection knobs at exotic
+/// values, and a *non-empty* plan that is inert (a zero-length
+/// partition window) over a workload whose only way to spread is the
+/// remote steal protocol.
 #[test]
 fn empty_fault_plan_is_byte_identical() {
     #[derive(Default)]
@@ -408,18 +411,27 @@ fn empty_fault_plan_is_byte_identical() {
         }
     }
 
-    let run = |faults: FaultConfig| {
-        let counter = Arc::new(AtomicU64::new(0));
-        let roots = spread_roots(4, 12, &counter);
+    let run = |roots: Vec<TaskSpec>, faults: FaultConfig| {
         let mut cfg = SimConfig::new(ClusterConfig::new(4, 2));
         cfg.faults = faults;
         let mut sink = Jsonl::default();
         let mut sim = Simulation::with_config(cfg, Box::new(DistWs::default()));
         let (report, _) = sim.run_roots_traced("ident", roots, &mut sink);
-        (distws_json::to_string_pretty(&report), sink.0)
+        (
+            report.steals.remote,
+            distws_json::to_string_pretty(&report),
+            sink.0,
+        )
+    };
+    let spread = || spread_roots(4, 12, &Arc::new(AtomicU64::new(0)));
+    // 64 flexible tasks homed on place 0: places 1–3 get work only by
+    // stealing it remotely.
+    let hot = || -> Vec<TaskSpec> {
+        (0..64)
+            .map(|_| TaskSpec::new(PlaceId(0), Locality::Flexible, 40_000, "leaf", |_| {}))
+            .collect()
     };
 
-    let (base_report, base_trace) = run(FaultConfig::default());
     let exotic = FaultConfig {
         retry: distws_sched::RetryPolicy {
             timeout_ns: 1,
@@ -431,19 +443,39 @@ fn empty_fault_plan_is_byte_identical() {
         detect_ns: 1,
         lease_timeout_ns: 2,
         seed: 0xDEAD_BEEF,
-        // A slow factor of exactly 1.0 is a no-op and must not arm
-        // the fault machinery.
+        // A slow factor of exactly 1.0 is a no-op.
         slow: vec![(PlaceId(1), 1.0)],
         ..Default::default()
     };
     assert!(exotic.is_empty());
-    let (exotic_report, exotic_trace) = run(exotic);
+    let inert = FaultConfig {
+        net: FaultPlan {
+            partitions: vec![Partition {
+                a: PlaceId(1),
+                b: PlaceId(2),
+                from_ns: 0,
+                until_ns: 0,
+            }],
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    assert!(!inert.is_empty());
+
+    let (_, base_report, base_trace) = run(spread(), FaultConfig::default());
+    let (_, exotic_report, exotic_trace) = run(spread(), exotic);
     assert_eq!(
         base_report, exotic_report,
         "empty plan perturbed the report"
     );
     assert_eq!(base_trace, exotic_trace, "empty plan perturbed the trace");
     assert!(base_report.contains("\"msgs_dropped\": 0"));
+
+    let (remote, hot_report, hot_trace) = run(hot(), FaultConfig::default());
+    assert!(remote > 0, "the hot workload must steal remotely");
+    let (_, inert_report, inert_trace) = run(hot(), inert);
+    assert_eq!(hot_report, inert_report, "inert plan perturbed the report");
+    assert_eq!(hot_trace, inert_trace, "inert plan perturbed the trace");
 }
 
 #[test]
