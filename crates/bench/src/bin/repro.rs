@@ -1678,9 +1678,10 @@ fn run_bench(
 
 /// `repro scale` — the cluster-scale engine sweep (see
 /// `distws_bench::scale`). Runs every grid cell with `tasks <=
-/// max_tasks`, writes/updates `BENCH_scale.json`, gates events/sec
-/// against the committed baseline, and optionally enforces wall/RSS
-/// budgets (the CI smoke runs a bounded cell under both).
+/// max_tasks`, writes/updates `BENCH_scale.json`, gates events/sec and
+/// (same seed) the schedule's `events`/`makespan_ms` against the
+/// committed baseline, and optionally enforces wall/RSS budgets (the CI
+/// smoke runs a bounded cell under both).
 #[allow(clippy::too_many_arguments)]
 fn run_scale_sweep(
     seed: u64,
@@ -1773,18 +1774,26 @@ fn run_scale_sweep(
     }
 
     if let Some(base) = baseline_report {
-        let regressions = scale::compare_scale(&report, &base, threshold_pct);
-        if regressions.is_empty() {
+        let found = scale::compare_scale(&report, &base, threshold_pct);
+        if found.is_clean() {
             println!(
-                "\nregression gate: ok ({} cells within {threshold_pct}% of baseline events/sec)",
+                "\nregression gate: ok ({} cells within {threshold_pct}% of baseline events/sec, no schedule drift)",
                 report.cells.len()
             );
         } else {
-            println!(
-                "\nregression gate: {} cell(s) slower than baseline by more than {threshold_pct}%:",
-                regressions.len()
-            );
-            for r in &regressions {
+            if !found.drifted.is_empty() {
+                println!("\nregression gate: schedule differs from the baseline at the same seed:");
+                for line in &found.drifted {
+                    println!("  {line}");
+                }
+            }
+            if !found.slower.is_empty() {
+                println!(
+                    "\nregression gate: {} cell(s) slower than baseline by more than {threshold_pct}%:",
+                    found.slower.len()
+                );
+            }
+            for r in &found.slower {
                 println!(
                     "  {}x{} x {} tasks: {:.0} -> {:.0} events/sec (-{:.1}%)",
                     r.point.places,

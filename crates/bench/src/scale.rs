@@ -366,26 +366,62 @@ pub struct ScaleRegression {
     pub drop_pct: f64,
 }
 
+/// What [`compare_scale`] found.
+#[derive(Debug, Clone, Default)]
+pub struct ScaleComparison {
+    /// Cells whose events/sec dropped by more than the threshold.
+    pub slower: Vec<ScaleRegression>,
+    /// Cells whose schedule is not the baseline's, one printable line
+    /// per differing field.
+    pub drifted: Vec<String>,
+}
+
+impl ScaleComparison {
+    /// Nothing slower, nothing drifted.
+    pub fn is_clean(&self) -> bool {
+        self.slower.is_empty() && self.drifted.is_empty()
+    }
+}
+
 /// Compare `current` against a committed `baseline`, cell by cell
 /// (matched on places/workers/tasks — cells missing on either side are
-/// skipped, so partial CI runs and a growing grid both work). Returns
-/// every cell whose events/sec dropped by more than `threshold_pct`.
+/// skipped, so partial CI runs and a growing grid both work). Reports
+/// every cell whose events/sec dropped by more than `threshold_pct`,
+/// and, when both ran the same seed, every cell whose `events` or
+/// `makespan_ms` is not bit for bit the baseline's (`tasks` is part of
+/// the match): the schedule is a function of the seed alone.
 pub fn compare_scale(
     current: &ScaleReport,
     baseline: &ScaleReport,
     threshold_pct: f64,
-) -> Vec<ScaleRegression> {
-    let mut out = Vec::new();
+) -> ScaleComparison {
+    let mut out = ScaleComparison::default();
     for cur in &current.cells {
         let Some(base) = baseline.cells.iter().find(|b| b.key() == cur.key()) else {
             continue;
         };
+        if current.seed == baseline.seed {
+            let cell = format!(
+                "{}x{} x {} tasks",
+                cur.places, cur.workers_per_place, cur.tasks
+            );
+            if cur.events != base.events {
+                out.drifted
+                    .push(format!("{cell}: events {} -> {}", base.events, cur.events));
+            }
+            if cur.makespan_ms.to_bits() != base.makespan_ms.to_bits() {
+                out.drifted.push(format!(
+                    "{cell}: makespan_ms {} -> {}",
+                    base.makespan_ms, cur.makespan_ms
+                ));
+            }
+        }
         if base.events_per_sec <= 0.0 {
             continue;
         }
         let drop_pct = (base.events_per_sec - cur.events_per_sec) / base.events_per_sec * 100.0;
         if drop_pct > threshold_pct {
-            out.push(ScaleRegression {
+            out.slower.push(ScaleRegression {
                 point: ScalePoint {
                     places: cur.places,
                     workers_per_place: cur.workers_per_place,
@@ -496,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_only_real_regressions() {
+    fn compare_flags_only_real_regressions_and_drift() {
         let cell = run_scale_cell(
             &ScalePoint {
                 places: 2,
@@ -512,16 +548,29 @@ mod tests {
         };
         let mut slow = base.clone();
         slow.cells[0].events_per_sec = cell.events_per_sec / 10.0;
-        assert!(compare_scale(&base, &base, 10.0).is_empty());
+        assert!(compare_scale(&base, &base, 10.0).is_clean());
         let r = compare_scale(&slow, &base, 10.0);
-        assert_eq!(r.len(), 1);
-        assert!(r[0].drop_pct > 80.0);
+        assert_eq!(r.slower.len(), 1);
+        assert!(r.slower[0].drop_pct > 80.0);
+        assert!(r.drifted.is_empty());
+        // A schedule that is not the baseline's is flagged however fast
+        // it ran, field by field ...
+        let mut other_schedule = base.clone();
+        other_schedule.cells[0].events += 1;
+        other_schedule.cells[0].makespan_ms += 1e-6;
+        let r = compare_scale(&other_schedule, &base, 10.0);
+        assert!(r.slower.is_empty());
+        assert_eq!(r.drifted.len(), 2, "{:?}", r.drifted);
+        assert!(r.drifted[0].contains("events") && r.drifted[1].contains("makespan_ms"));
+        // ... unless it ran another seed, which is another schedule.
+        other_schedule.seed += 1;
+        assert!(compare_scale(&other_schedule, &base, 10.0).is_clean());
         // Unknown cells on either side are skipped, not flagged.
         let other = ScaleReport {
             schema_version: SCALE_SCHEMA_VERSION,
             seed: 1,
             cells: vec![],
         };
-        assert!(compare_scale(&slow, &other, 10.0).is_empty());
+        assert!(compare_scale(&slow, &other, 10.0).is_clean());
     }
 }

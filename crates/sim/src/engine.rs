@@ -3,6 +3,7 @@
 use crate::calendar::CalendarQueue;
 use crate::faults::FaultConfig;
 use crate::scope::SimScope;
+use crate::worker_index::WorkerIndex;
 use distws_cachesim::{Cache, CacheConfig};
 use distws_core::rng::SplitMix64;
 use distws_core::{
@@ -312,31 +313,6 @@ impl LatchArena {
     }
 }
 
-/// Set or clear bit `i` of a worker bitset.
-#[inline]
-fn set_bit(bits: &mut [u64], i: usize, on: bool) {
-    let mask = 1u64 << (i % 64);
-    if on {
-        bits[i / 64] |= mask;
-    } else {
-        bits[i / 64] &= !mask;
-    }
-}
-
-/// Word `wd` of a bitset, masked to global-worker range `[start, end)`.
-#[inline]
-fn range_word(bits: &[u64], wd: usize, start: usize, end: usize) -> u64 {
-    let mut m = bits[wd];
-    let lo = wd * 64;
-    if start > lo {
-        m &= !0u64 << (start - lo);
-    }
-    if end < lo + 64 {
-        m &= (1u64 << (end - lo)) - 1;
-    }
-    m
-}
-
 enum EventKind {
     /// Task lands at its `exec_home`: map & enqueue.
     Arrive(TaskRef),
@@ -435,16 +411,17 @@ struct Engine<'p> {
     workers: Vec<WorkerState>,
     places: Vec<PlaceState>,
     board: Board,
-    /// Worker bitsets, maintained by `refresh_bits` after every
-    /// `counted`/`status`/`wake_pending` mutation. They turn the
-    /// linear worker scans of task mapping and wakeups into word
-    /// scans: `idle` = unclaimed and not Busy, `dormant` = Dormant
-    /// with no Wake in flight, `quiesced` = Quiesced with no Wake in
-    /// flight (workers a wake would actually move).
-    idle_bits: Vec<u64>,
-    dormant_bits: Vec<u64>,
-    quiesced_bits: Vec<u64>,
-    /// Reusable buffers for the steal loop and task execution.
+    /// Worker sets, maintained by `refresh_bits` after every
+    /// `counted`/`status`/`wake_pending` mutation, so that task mapping
+    /// and wakeups look workers up by place instead of scanning for
+    /// them: `idle` = unclaimed and not Busy, `dormant` = Dormant with
+    /// no Wake in flight, `quiesced` = Quiesced with no Wake in flight
+    /// (workers a wake would actually move).
+    idle: WorkerIndex,
+    dormant: WorkerIndex,
+    quiesced: WorkerIndex,
+    /// Reusable buffers for wakeups, the steal loop and task execution.
+    wake_buf: Vec<GlobalWorkerId>,
     steal_buf: Vec<StealStep>,
     chunk_buf: Vec<TaskRef>,
     spawn_buf: Vec<TaskSpec>,
@@ -501,7 +478,8 @@ impl<'p> Engine<'p> {
         let workers = (0..nw)
             .map(|_| WorkerState {
                 deque: SeqPrivateDeque::new(),
-                cache: cfg.cache.map(Cache::new),
+                // Built on first access: most workloads declare none.
+                cache: None,
                 status: WorkerStatus::Dormant,
                 wake_pending: false,
                 counted: false,
@@ -511,13 +489,6 @@ impl<'p> Engine<'p> {
                 finishing_latch: NO_LATCH,
             })
             .collect();
-        // Every worker starts Dormant, unclaimed, with no wake in
-        // flight: idle and dormant bits all set, quiesced all clear.
-        let words = nw.div_ceil(64);
-        let mut all_workers = vec![0u64; words];
-        for i in 0..nw {
-            all_workers[i / 64] |= 1u64 << (i % 64);
-        }
         let places = (0..np)
             .map(|_| PlaceState {
                 shared: SeqSharedFifo::new(),
@@ -534,9 +505,12 @@ impl<'p> Engine<'p> {
             latches: LatchArena::default(),
             workers,
             places,
-            idle_bits: all_workers.clone(),
-            dormant_bits: all_workers,
-            quiesced_bits: vec![0u64; words],
+            // Every worker starts Dormant, unclaimed, with no wake in
+            // flight.
+            idle: WorkerIndex::full(&cluster),
+            dormant: WorkerIndex::full(&cluster),
+            quiesced: WorkerIndex::empty(&cluster),
+            wake_buf: Vec::new(),
             steal_buf: Vec::new(),
             chunk_buf: Vec::new(),
             spawn_buf: Vec::new(),
@@ -976,28 +950,19 @@ impl<'p> Engine<'p> {
         self.cfg.cluster.place_of(w)
     }
 
-    /// Recompute worker `w`'s bits from its state. Must follow every
-    /// mutation of `counted`, `status` or `wake_pending`.
+    /// Recompute worker `w`'s membership of the three worker sets from
+    /// its state. Must follow every mutation of `counted`, `status` or
+    /// `wake_pending`.
     #[inline]
     fn refresh_bits(&mut self, w: GlobalWorkerId) {
-        let i = w.index();
-        let ws = &self.workers[i];
+        let ws = &self.workers[w.index()];
         let unpended = !ws.wake_pending;
-        set_bit(
-            &mut self.idle_bits,
-            i,
-            !ws.counted && ws.status != WorkerStatus::Busy,
-        );
-        set_bit(
-            &mut self.dormant_bits,
-            i,
-            ws.status == WorkerStatus::Dormant && unpended,
-        );
-        set_bit(
-            &mut self.quiesced_bits,
-            i,
-            ws.status == WorkerStatus::Quiesced && unpended,
-        );
+        self.idle
+            .set(w, !ws.counted && ws.status != WorkerStatus::Busy);
+        self.dormant
+            .set(w, ws.status == WorkerStatus::Dormant && unpended);
+        self.quiesced
+            .set(w, ws.status == WorkerStatus::Quiesced && unpended);
     }
 
     fn claim(&mut self, w: GlobalWorkerId) {
@@ -1155,21 +1120,15 @@ impl<'p> Engine<'p> {
             }
         }
         // Any arrival of work also prods quiesced workers of the place
-        // (they re-run their loop and re-quiesce if they lose the race).
-        // Word-snapshot iteration: a wake only clears the woken
-        // worker's own bit, already removed from the snapshot.
-        let wpp = self.cfg.cluster.workers_per_place as usize;
-        let start = place.index() * wpp;
-        let end = start + wpp;
-        for wd in start / 64..=(end - 1) / 64 {
-            let mut m = range_word(&self.quiesced_bits, wd, start, end);
-            while m != 0 {
-                let w = GlobalWorkerId((wd * 64 + m.trailing_zeros() as usize) as u32);
-                m &= m - 1;
-                let d = self.cfg.cost.shared_deque_op_ns + w.0 as u64;
-                self.wake(now, w, d, true);
-            }
+        // (they re-run their loop and re-quiesce if they lose the race),
+        // collected first as in `wake_for_shared`.
+        let mut targets = std::mem::take(&mut self.wake_buf);
+        targets.extend(self.quiesced.iter_in(place));
+        for w in targets.drain(..) {
+            let d = self.cfg.cost.shared_deque_op_ns + w.0 as u64;
+            self.wake(now, w, d, true);
         }
+        self.wake_buf = targets;
     }
 
     fn pick_private_target(
@@ -1179,16 +1138,10 @@ impl<'p> Engine<'p> {
     ) -> GlobalWorkerId {
         let wpp = self.cfg.cluster.workers_per_place;
         // Prefer an idle (unclaimed, parked) worker — Algorithm 1 maps
-        // tasks on under-utilized places directly to idle workers. The
-        // bitset scan returns the lowest-indexed idle worker, the same
-        // worker the former linear scan found.
-        let start = place.index() * wpp as usize;
-        let end = start + wpp as usize;
-        for wd in start / 64..=(end - 1) / 64 {
-            let m = range_word(&self.idle_bits, wd, start, end);
-            if m != 0 {
-                return GlobalWorkerId((wd * 64 + m.trailing_zeros() as usize) as u32);
-            }
+        // tasks on under-utilized places directly to idle workers: the
+        // lowest-numbered one.
+        if let Some(w) = self.idle.first_in(place) {
+            return w;
         }
         // Help-first: the spawning worker keeps its own children.
         if let Some(s) = spawner {
@@ -1207,44 +1160,33 @@ impl<'p> Engine<'p> {
     }
 
     fn wake_for_shared(&mut self, now: u64, place: PlaceId) {
-        let places = self.cfg.cluster.places;
-        let wpp = self.cfg.cluster.workers_per_place as usize;
         let base = self.cfg.cost.shared_deque_op_ns;
-        // All dormant co-located workers, in ascending worker order
-        // (word-snapshot iteration, see map_and_enqueue).
-        let start = place.index() * wpp;
-        let end = start + wpp;
-        for wd in start / 64..=(end - 1) / 64 {
-            let mut m = range_word(&self.dormant_bits, wd, start, end);
-            while m != 0 {
-                let w = GlobalWorkerId((wd * 64 + m.trailing_zeros() as usize) as u32);
-                m &= m - 1;
-                self.wake(now, w, base + w.0 as u64, false);
-            }
-        }
+        // Whom to prod is decided before anyone is: a wake removes the
+        // woken worker from `dormant`, and nobody else.
+        let mut targets = std::mem::take(&mut self.wake_buf);
+        // All dormant co-located workers, in ascending worker order.
+        targets.extend(self.dormant.iter_in(place));
+        let local = targets.len();
         // A bounded number of remote dormant workers (they will pay
         // their own probe round trips when they retry): the first
-        // dormant unpended worker of each of the next places.
-        let mut budget = self.cfg.remote_wake_limit;
-        for off in 1..places {
-            if budget == 0 {
-                break;
-            }
-            let p = PlaceId((place.0 + off) % places);
-            let start = p.index() * wpp;
-            let end = start + wpp;
-            for wd in start / 64..=(end - 1) / 64 {
-                let m = range_word(&self.dormant_bits, wd, start, end);
-                if m != 0 {
-                    let w = GlobalWorkerId((wd * 64 + m.trailing_zeros() as usize) as u32);
-                    // Discovery delay: one network round trip.
-                    let d = base + 2 * self.cfg.cost.net_latency_ns + w.0 as u64;
-                    self.wake(now, w, d, false);
-                    budget -= 1;
-                    break;
-                }
-            }
+        // dormant unpended worker of each of the next places that has
+        // one. Places that have none cost nothing to pass over.
+        targets.extend(
+            self.dormant
+                .places_after(place)
+                .filter_map(|p| self.dormant.first_in(p))
+                .take(self.cfg.remote_wake_limit),
+        );
+        for &w in &targets[..local] {
+            self.wake(now, w, base + w.0 as u64, false);
         }
+        // Discovery delay: one network round trip.
+        let remote = base + 2 * self.cfg.cost.net_latency_ns;
+        for &w in &targets[local..] {
+            self.wake(now, w, remote + w.0 as u64, false);
+        }
+        targets.clear();
+        self.wake_buf = targets;
     }
 
     fn push_to_lifeline(&mut self, now: u64, from: PlaceId, to: PlaceId, tr: TaskRef) {
@@ -1746,7 +1688,10 @@ impl<'p> Engine<'p> {
                     );
                 }
             }
-            if let Some(cache) = self.workers[w.index()].cache.as_mut() {
+            if let Some(geometry) = self.cfg.cache {
+                let cache = self.workers[w.index()]
+                    .cache
+                    .get_or_insert_with(|| Cache::new(geometry));
                 let misses = cache.access(a.obj.0, a.offset, a.bytes);
                 duration += misses * self.cfg.cost.l1_miss_penalty_ns;
             }

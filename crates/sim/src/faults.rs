@@ -68,18 +68,21 @@ impl Default for FaultConfig {
     }
 }
 
+#[cfg(test)]
 impl FaultConfig {
-    /// Whether this config injects nothing (level 0 of a chaos sweep).
-    /// The retry/detection knobs alone don't count: with every message
-    /// delivered and every place alive no timeout or lease can fire.
-    pub fn is_empty(&self) -> bool {
+    // Whether this config injects nothing (level 0 of a chaos sweep).
+    // The retry/detection knobs alone don't count: with every message
+    // delivered and every place alive no timeout or lease can fire.
+    fn is_empty(&self) -> bool {
         self.net.is_empty()
             && self.kills.is_empty()
             && self.hard_kills.is_empty()
             && self.restarts.is_empty()
             && self.slow.iter().all(|(_, f)| *f == 1.0)
     }
+}
 
+impl FaultConfig {
     /// Validate against a cluster of `places` places.
     pub fn validate(&self, places: u32) -> Result<(), String> {
         for (p, _) in self.kills.iter().chain(&self.hard_kills) {

@@ -45,6 +45,7 @@ pub mod calendar;
 mod engine;
 pub mod faults;
 mod scope;
+mod worker_index;
 
 pub use engine::{SimConfig, Simulation};
 pub use faults::{FaultConfig, FaultSpec, TimeSpec};

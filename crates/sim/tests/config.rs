@@ -1,7 +1,7 @@
 //! Configuration-space tests: the engine must behave sensibly across
 //! cost models, topologies, cache settings and wake limits.
 
-use distws_core::{ClusterConfig, CostModel, Locality, PlaceId, TaskSpec};
+use distws_core::{ClusterConfig, CostModel, Locality, PlaceId, StealCounts, TaskSpec};
 use distws_netsim::Topology;
 use distws_sched::{DistWs, X10Ws};
 use distws_sim::{SimConfig, Simulation};
@@ -81,12 +81,31 @@ fn cache_model_can_be_disabled() {
 #[test]
 fn remote_wake_limit_zero_still_completes() {
     // Without remote wakes, work still drains (local workers and the
-    // steal loop of awake workers find it) — it may just take longer.
-    let mut cfg = SimConfig::new(ClusterConfig::new(4, 2));
-    cfg.remote_wake_limit = 0;
-    let mut sim = Simulation::with_config(cfg, Box::new(DistWs::default()));
-    let report = sim.run_roots("nowake", imbalanced_roots(40, 200_000));
-    assert_eq!(report.tasks_executed, 40);
+    // steal loop of awake workers find it) — it just takes longer, and
+    // no remote worker is ever prodded into a steal. Limits 1 and 4 pin
+    // the budgeted ring walk: makespan, steals and messages as recorded
+    // before the place-level summary replaced the place-by-place scan.
+    let steals = |local_shared, remote, failed_attempts| StealCounts {
+        local_private: 0,
+        local_shared,
+        remote,
+        failed_attempts,
+    };
+    let recorded = [
+        (0usize, 4_031_626u64, steals(38, 0, 6), 8u64),
+        (1, 1_087_645, steals(20, 32, 33), 76),
+        (4, 1_097_457, steals(20, 32, 36), 80),
+    ];
+    for (limit, makespan_ns, steals, messages) in recorded {
+        let mut cfg = SimConfig::new(ClusterConfig::new(4, 2));
+        cfg.remote_wake_limit = limit;
+        let mut sim = Simulation::with_config(cfg, Box::new(DistWs::default()));
+        let report = sim.run_roots("nowake", imbalanced_roots(40, 200_000));
+        assert_eq!(report.tasks_executed, 40, "limit {limit}");
+        assert_eq!(report.makespan_ns, makespan_ns, "limit {limit}");
+        assert_eq!(report.steals, steals, "limit {limit}");
+        assert_eq!(report.messages.total(), messages, "limit {limit}");
+    }
 }
 
 #[test]

@@ -447,7 +447,7 @@ fn empty_fault_plan_is_byte_identical() {
         slow: vec![(PlaceId(1), 1.0)],
         ..Default::default()
     };
-    assert!(exotic.is_empty());
+    assert!(exotic.net.is_empty(), "no link fault, no partition");
     let inert = FaultConfig {
         net: FaultPlan {
             partitions: vec![Partition {
@@ -460,7 +460,10 @@ fn empty_fault_plan_is_byte_identical() {
         },
         ..Default::default()
     };
-    assert!(!inert.is_empty());
+    assert!(
+        !inert.net.is_empty(),
+        "a partition, if one that never holds"
+    );
 
     let (_, base_report, base_trace) = run(spread(), FaultConfig::default());
     let (_, exotic_report, exotic_trace) = run(spread(), exotic);
