@@ -1,7 +1,7 @@
 //! Bakes the git commit into the `repro` binary so a stale build is
-//! visible at a glance (`repro bench` / `repro scale` print it): CI
-//! once burned hours gating against a binary built from an older
-//! checkout.
+//! visible at a glance (`repro bench` prints it when it records or
+//! replays a trajectory): a binary built from an older checkout
+//! replays the wrong code.
 
 use std::process::Command;
 

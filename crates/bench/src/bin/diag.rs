@@ -4,14 +4,11 @@
 //!
 //! ```text
 //! diag <turing|nbody|dmr|qsort|dmg|kmeans|agglom>
-//! diag metrics <BENCH_*.json | app>
+//! diag metrics <app>
 //! ```
-//! schedulers at full scale.
 //!
-//! `diag metrics FILE.json` renders the engine counter/gauge/phase
-//! tables of a recorded `repro bench` trajectory; `diag metrics <app>`
-//! runs that app fresh (DistWS, paper cluster) with metrics enabled
-//! and renders its table.
+//! `diag metrics <app>` runs that app fresh (DistWS, paper cluster)
+//! with metrics enabled and renders its counter/gauge/phase table.
 fn main() {
     use distws_core::{ClusterConfig, Workload};
     use distws_sched::{DistWs, Policy, X10Ws};
@@ -19,7 +16,7 @@ fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "turing".into());
     if name == "metrics" {
         let arg = std::env::args().nth(2).unwrap_or_else(|| {
-            eprintln!("usage: diag metrics <BENCH_*.json | app>");
+            eprintln!("usage: diag metrics <app>");
             std::process::exit(2);
         });
         run_metrics_view(&arg);
@@ -88,38 +85,18 @@ fn main() {
     }
 }
 
-/// `diag metrics` — counter/gauge/phase tables from a `BENCH_*.json`
-/// trajectory or a fresh metered run of one app.
-fn run_metrics_view(arg: &str) {
-    use distws_bench::perf;
-    if arg.ends_with(".json") {
-        let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-            eprintln!("{arg}: {e}");
+/// `diag metrics <app>` — counter/gauge/phase table of a fresh metered
+/// run of one app.
+fn run_metrics_view(name: &str) {
+    use distws_bench::{perf, Scale};
+    use distws_core::ClusterConfig;
+    let cell = perf::bench_app(name, Scale::Default)
+        .ok_or_else(|| format!("unknown app '{name}' (try Quicksort, k-Means, UTS, DMG, ...)"))
+        .and_then(|app| perf::run_workload(app.as_ref(), "DistWS", &ClusterConfig::paper(), 0))
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
         });
-        let report = perf::parse_report(&text).unwrap_or_else(|e| {
-            eprintln!("{arg}: {e}");
-            std::process::exit(2);
-        });
-        print!("{}", perf::render_metrics_view(&report));
-        return;
-    }
-    let point = perf::BenchPoint {
-        app: Box::leak(arg.to_string().into_boxed_str()),
-        policy: "DistWS",
-        cluster: distws_core::ClusterConfig::paper(),
-        scale: distws_bench::Scale::Default,
-    };
-    if perf::bench_app(arg, distws_bench::Scale::Default).is_none() {
-        eprintln!("unknown app '{arg}' (try Quicksort, k-Means, UTS, DMG, ...)");
-        std::process::exit(2);
-    }
-    let cell = perf::run_cell(&point, 0, 1);
-    let report = perf::BenchReport {
-        schema_version: perf::BENCH_SCHEMA_VERSION,
-        suite: "adhoc".into(),
-        seed: 0,
-        cells: vec![cell],
-    };
-    print!("{}", perf::render_metrics_view(&report));
+    println!("## {} (seed 0)", cell.label());
+    println!("{}", cell.metrics.render_table());
 }

@@ -6,7 +6,7 @@
 //! repro chaos <app> --faults SPEC [--scale ...] [--policy NAME] [--seed N] [--json DIR] [--validate]
 //! repro cluster <app> --places N [--wpp N] [--policy NAME] [--seed N] [--transport unix|tcp]
 //!               [--kill "place@ms[,restart@ms][;...]"] [--dir DIR]
-//! repro bench [--suite quick|full] [--seed S] [--out FILE] [--baseline FILE] [--threshold PCT] [--no-gate]
+//! repro bench [--suite quick|full|scale] [--seed S] [--out FILE]
 //! repro bench --check FILE
 //! repro lint [ROOT]
 //! repro check [interleave | protocol | liveness | mutants | hb FILE.jsonl] [--scenario NAME] [--list]
@@ -35,15 +35,13 @@
 //! traced and its event stream is checked by the happens-before
 //! validator (tracing does not perturb results — PR 1 invariant).
 //!
-//! `repro bench` runs the performance suite (`docs/metrics.md`): a
-//! fixed matrix of apps × policies × cluster sizes with engine
-//! self-metrics enabled, recording events/sec, sim-ns per wall-ms,
-//! peak RSS and makespan per cell into the schema-versioned
-//! `BENCH_quick.json` / `BENCH_full.json` at the repo root. The run is
-//! compared cell-by-cell against the committed baseline and exits
-//! nonzero when events/sec drops by more than `--threshold` percent
-//! (default 10). `repro bench --check FILE` only schema-validates a
-//! trajectory file.
+//! `repro bench` records a suite (`docs/metrics.md`): a fixed matrix
+//! of apps × policies × cluster sizes run with engine self-metrics
+//! enabled, writing each cell's seed-determined tasks, events,
+//! makespan, counters and gauges to `BENCH_<suite>.json`.
+//! `repro bench --check FILE` replays a recorded file at its seed and
+//! exits 1, one line per differing cell and field, unless every stored
+//! value matches bit for bit.
 //!
 //! `repro lint` runs the determinism lint over the workspace (or a
 //! given root) and exits nonzero with `file:line` diagnostics on any
@@ -68,7 +66,7 @@ use std::io::Write;
 /// Short git commit baked in at compile time (`build.rs`), so the
 /// benched binary's provenance is always printed — a stale
 /// `target/release/repro` from an older checkout is the classic way to
-/// gate CI against the wrong code.
+/// record or replay a trajectory with the wrong code.
 fn build_hash() -> &'static str {
     option_env!("DISTWS_BUILD_HASH").unwrap_or("unknown")
 }
@@ -102,13 +100,7 @@ fn main() {
     let mut compare = false;
     let mut suite = perf::BenchSuite::Quick;
     let mut bench_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut threshold = perf::DEFAULT_THRESHOLD_PCT;
-    let mut gate = true;
     let mut check_path: Option<String> = None;
-    let mut max_tasks: u64 = u64::MAX;
-    let mut max_wall_s: Option<f64> = None;
-    let mut max_rss_mb: Option<u64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -174,7 +166,7 @@ fn main() {
                     .get(i)
                     .and_then(|s| perf::BenchSuite::by_name(s))
                     .unwrap_or_else(|| {
-                        eprintln!("--suite needs 'quick' or 'full'");
+                        eprintln!("--suite needs 'quick', 'full' or 'scale'");
                         std::process::exit(2);
                     });
             }
@@ -185,64 +177,12 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--baseline needs a BENCH_*.json path");
-                    std::process::exit(2);
-                }));
-            }
-            "--threshold" => {
-                i += 1;
-                threshold = args
-                    .get(i)
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threshold needs a non-negative percentage (e.g. 10)");
-                        std::process::exit(2);
-                    });
-            }
-            "--no-gate" => gate = false,
             "--check" => {
                 i += 1;
                 check_path = Some(args.get(i).cloned().unwrap_or_else(|| {
                     eprintln!("--check needs a BENCH_*.json path");
                     std::process::exit(2);
                 }));
-            }
-            "--max-tasks" => {
-                i += 1;
-                max_tasks = args
-                    .get(i)
-                    .and_then(|s| s.replace('_', "").parse::<u64>().ok())
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-tasks needs an integer task bound");
-                        std::process::exit(2);
-                    });
-            }
-            "--max-wall-s" => {
-                i += 1;
-                max_wall_s = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|t| t.is_finite() && *t > 0.0)
-                        .unwrap_or_else(|| {
-                            eprintln!("--max-wall-s needs a positive seconds budget");
-                            std::process::exit(2);
-                        }),
-                );
-            }
-            "--max-rss-mb" => {
-                i += 1;
-                max_rss_mb = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .unwrap_or_else(|| {
-                            eprintln!("--max-rss-mb needs an integer MiB budget");
-                            std::process::exit(2);
-                        }),
-                );
             }
             flag if flag.starts_with("--") => {
                 eprintln!("unexpected argument {flag}");
@@ -330,45 +270,18 @@ fn main() {
         return;
     }
     if positional.first().map(String::as_str) == Some("bench") {
-        if positional.len() > 1 {
-            eprintln!("usage: repro bench [--suite quick|full] [--seed S] [--out FILE] [--baseline FILE] [--threshold PCT] [--no-gate] | repro bench --check FILE");
+        const BENCH_FLAGS: [&str; 4] = ["--suite", "--seed", "--out", "--check"];
+        let stray = args
+            .iter()
+            .any(|a| a.starts_with("--") && !BENCH_FLAGS.contains(&a.as_str()));
+        if positional.len() > 1 || stray {
+            eprintln!("usage: repro bench [--suite quick|full|scale] [--seed S] [--out FILE] | repro bench --check FILE");
             std::process::exit(2);
         }
-        if let Some(path) = check_path {
-            run_bench_check(&path);
-            return;
+        match check_path {
+            Some(path) => run_bench_check(&path),
+            None => run_bench(suite, seed.unwrap_or(0), bench_out.as_deref()),
         }
-        run_bench(
-            suite,
-            seed.unwrap_or(0),
-            bench_out.as_deref(),
-            baseline.as_deref(),
-            threshold,
-            gate,
-        );
-        return;
-    }
-    if positional.first().map(String::as_str) == Some("scale") {
-        if positional.len() > 1 {
-            eprintln!(
-                "usage: repro scale [--seed S] [--out FILE] [--baseline FILE] [--threshold PCT] [--no-gate] [--max-tasks N] [--max-wall-s SEC] [--max-rss-mb MiB] | repro scale --check FILE"
-            );
-            std::process::exit(2);
-        }
-        if let Some(path) = check_path {
-            run_scale_check(&path);
-            return;
-        }
-        run_scale_sweep(
-            seed.unwrap_or(0),
-            bench_out.as_deref(),
-            baseline.as_deref(),
-            threshold,
-            gate,
-            max_tasks,
-            max_wall_s,
-            max_rss_mb,
-        );
         return;
     }
     if positional.len() > 1 {
@@ -440,7 +353,7 @@ fn main() {
             "or: repro chaos <app> --faults SPEC [--scale S] [--policy P] [--seed N] [--json DIR] [--validate]"
         );
         eprintln!(
-            "or: repro bench [--suite quick|full] [--seed S] [--out FILE] [--baseline FILE] [--threshold PCT] [--no-gate] [--check FILE]"
+            "or: repro bench [--suite quick|full|scale] [--seed S] [--out FILE] | repro bench --check FILE"
         );
         eprintln!("or: repro lint [ROOT]");
         eprintln!(
@@ -1591,274 +1504,56 @@ fn write_json<T: distws_json::ToJson>(dir: &str, name: &str, rows: &T) {
     eprintln!("wrote {path}");
 }
 
-/// `repro bench` — run a suite, print the table, write the trajectory
-/// file, and gate on events/sec regressions against the committed
-/// baseline.
-fn run_bench(
-    suite: perf::BenchSuite,
-    seed: u64,
-    out: Option<&str>,
-    baseline: Option<&str>,
-    threshold_pct: f64,
-    gate: bool,
-) {
-    let points = perf::matrix(suite);
+/// `repro bench` — run a suite, print its table and write its
+/// trajectory file.
+fn run_bench(suite: perf::BenchSuite, seed: u64, out: Option<&str>) {
     hr(&format!(
         "repro bench — suite {} ({} cells, seed {seed}, build {})",
         suite.name(),
-        points.len(),
+        perf::matrix(suite).len(),
         build_hash(),
     ));
-    let report = perf::run_suite(suite, seed, |i, p| {
-        eprintln!(
-            "[{}/{}] {} / {} on {}x{} ...",
-            i + 1,
-            points.len(),
-            p.app,
-            p.policy,
-            p.cluster.places,
-            p.cluster.workers_per_place
-        );
+    let report = perf::run_suite(suite, seed).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
     });
     print!("{}", perf::render_bench_table(&report));
-
-    // Load the baseline BEFORE overwriting the default output path —
-    // with no --baseline / --out, both are the committed BENCH file.
-    let out_path = out.unwrap_or_else(|| suite.default_out()).to_string();
-    let baseline_path = baseline.unwrap_or(&out_path).to_string();
-    let baseline_report = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match perf::parse_report(&text) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("baseline {baseline_path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => {
-            eprintln!("no baseline at {baseline_path}; skipping the regression gate");
-            None
-        }
-    };
-
+    let out_path = out.map_or_else(|| suite.default_out(), str::to_string);
     distws_json::write_json_file(std::path::Path::new(&out_path), &report)
         .expect("write bench json");
     eprintln!("wrote {out_path}");
-
-    if let Some(base) = baseline_report {
-        let regressions = perf::compare(&report, &base, threshold_pct);
-        if regressions.is_empty() {
-            println!(
-                "\nregression gate: ok ({} cells within {threshold_pct}% of baseline events/sec)",
-                report.cells.len()
-            );
-        } else {
-            println!(
-                "\nregression gate: {} cell(s) slower than baseline by more than {threshold_pct}%:",
-                regressions.len()
-            );
-            for r in &regressions {
-                println!(
-                    "  {} / {} on {}x{}: {:.0} -> {:.0} events/sec (-{:.1}%)",
-                    r.app,
-                    r.policy,
-                    r.places,
-                    r.workers_per_place,
-                    r.baseline_eps,
-                    r.current_eps,
-                    r.drop_pct
-                );
-            }
-            if gate {
-                std::process::exit(1);
-            }
-            println!("(--no-gate: not failing)");
-        }
-    }
 }
 
-/// `repro scale` — the cluster-scale engine sweep (see
-/// `distws_bench::scale`). Runs every grid cell with `tasks <=
-/// max_tasks`, writes/updates `BENCH_scale.json`, gates events/sec and
-/// (same seed) the schedule's `events`/`makespan_ms` against the
-/// committed baseline, and optionally enforces wall/RSS budgets (the CI
-/// smoke runs a bounded cell under both).
-#[allow(clippy::too_many_arguments)]
-fn run_scale_sweep(
-    seed: u64,
-    out: Option<&str>,
-    baseline: Option<&str>,
-    threshold_pct: f64,
-    gate: bool,
-    max_tasks: u64,
-    max_wall_s: Option<f64>,
-    max_rss_mb: Option<u64>,
-) {
-    use bench::scale;
-
-    let points: Vec<scale::ScalePoint> = scale::scale_matrix()
-        .into_iter()
-        .filter(|p| p.tasks <= max_tasks)
-        .collect();
-    if points.is_empty() {
-        eprintln!("repro scale: --max-tasks {max_tasks} excludes every grid cell");
-        std::process::exit(2);
-    }
+/// `repro bench --check FILE` — replay a trajectory file at its seed;
+/// exit 1 on any drift, 2 when the file cannot be read.
+fn run_bench_check(path: &str) {
+    let recorded = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| perf::parse_report(&text))
+        .unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
+            std::process::exit(2);
+        });
     hr(&format!(
-        "repro scale — engine sweep ({} of {} cells, seed {seed}, build {})",
-        points.len(),
-        scale::scale_matrix().len(),
+        "repro bench --check {path} — suite {} ({} cells, seed {}, build {})",
+        recorded.suite,
+        recorded.cells.len(),
+        recorded.seed,
         build_hash(),
     ));
-    let total = points.len();
-    let report = scale::run_scale(seed, max_tasks, |i, p| {
-        eprintln!(
-            "[{}/{total}] ScaleFanout / DistWS on {}x{}, {} tasks ...",
-            i + 1,
-            p.places,
-            p.workers_per_place,
-            p.tasks
-        );
-    });
-    print!("{}", scale::render_scale_table(&report));
-
-    // Load the baseline BEFORE overwriting the default output path —
-    // with no --baseline / --out, both are the committed BENCH file.
-    let out_path = out.unwrap_or(scale::SCALE_DEFAULT_OUT).to_string();
-    let baseline_path = baseline.unwrap_or(&out_path).to_string();
-    let baseline_report = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match scale::parse_scale_report(&text) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!("baseline {baseline_path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => {
-            eprintln!("no baseline at {baseline_path}; skipping the regression gate");
-            None
-        }
-    };
-
-    distws_json::write_json_file(std::path::Path::new(&out_path), &report)
-        .expect("write scale json");
-    eprintln!("wrote {out_path}");
-
-    let mut failed = false;
-    if let Some(budget) = max_wall_s {
-        for c in &report.cells {
-            if c.wall_ms > budget * 1e3 {
-                println!(
-                    "wall budget: {}x{} x {} tasks took {:.1}s (budget {budget}s)",
-                    c.places,
-                    c.workers_per_place,
-                    c.tasks,
-                    c.wall_ms / 1e3
-                );
-                failed = true;
-            }
-        }
-    }
-    if let Some(budget) = max_rss_mb {
-        for c in &report.cells {
-            if c.peak_rss_kb > budget * 1024 {
-                println!(
-                    "rss budget: {}x{} x {} tasks peaked at {} MiB (budget {budget} MiB)",
-                    c.places,
-                    c.workers_per_place,
-                    c.tasks,
-                    c.peak_rss_kb / 1024
-                );
-                failed = true;
-            }
-        }
-    }
-
-    if let Some(base) = baseline_report {
-        let found = scale::compare_scale(&report, &base, threshold_pct);
-        if found.is_clean() {
-            println!(
-                "\nregression gate: ok ({} cells within {threshold_pct}% of baseline events/sec, no schedule drift)",
-                report.cells.len()
-            );
-        } else {
-            if !found.drifted.is_empty() {
-                println!("\nregression gate: schedule differs from the baseline at the same seed:");
-                for line in &found.drifted {
-                    println!("  {line}");
-                }
-            }
-            if !found.slower.is_empty() {
-                println!(
-                    "\nregression gate: {} cell(s) slower than baseline by more than {threshold_pct}%:",
-                    found.slower.len()
-                );
-            }
-            for r in &found.slower {
-                println!(
-                    "  {}x{} x {} tasks: {:.0} -> {:.0} events/sec (-{:.1}%)",
-                    r.point.places,
-                    r.point.workers_per_place,
-                    r.point.tasks,
-                    r.baseline_eps,
-                    r.current_eps,
-                    r.drop_pct
-                );
-            }
-            if gate {
-                failed = true;
-            } else {
-                println!("(--no-gate: not failing)");
-            }
-        }
-    }
-    if failed {
+    let drift = perf::replay(&recorded).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
         std::process::exit(1);
-    }
-}
-
-/// `repro scale --check FILE` — schema-validate a scale trajectory.
-fn run_scale_check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
     });
-    match bench::scale::parse_scale_report(&text) {
-        Ok(r) => {
-            println!(
-                "{path}: ok (schema v{}, seed {}, {} cells)",
-                r.schema_version,
-                r.seed,
-                r.cells.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
+    if drift.is_empty() {
+        println!("{path}: ok, every value replays bit for bit");
+        return;
     }
-}
-
-/// `repro bench --check FILE` — schema-validate a trajectory file.
-fn run_bench_check(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(2);
-    });
-    match perf::parse_report(&text) {
-        Ok(r) => {
-            println!(
-                "{path}: ok (schema v{}, suite {}, seed {}, {} cells)",
-                r.schema_version,
-                r.suite,
-                r.seed,
-                r.cells.len()
-            );
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
+    println!("{path}: {} value(s) differ from the replay:", drift.len());
+    for line in &drift {
+        println!("  {line}");
     }
+    std::process::exit(1);
 }
 
 fn hr(title: &str) {

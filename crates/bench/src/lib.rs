@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: one function per table/figure of the
 //! paper's evaluation (§VII–§X), each returning machine-readable rows.
-//! The `repro` binary prints them as the paper formats them;
-//! `benches/` wires the same functions into Criterion; EXPERIMENTS.md
-//! is generated from these results.
+//! The `repro` binary prints them as the paper formats them, and
+//! EXPERIMENTS.md is generated from these results. [`perf`] is the
+//! deterministic perf trajectory (`repro bench`); [`scale`] holds its
+//! cluster-scale workload.
 //!
 //! | function | paper artifact |
 //! |---|---|
@@ -40,7 +41,7 @@ use distws_sim::{FaultSpec, SimConfig, Simulation};
 /// Input scale of an experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny inputs — smoke tests and Criterion benches.
+    /// Tiny inputs — smoke and unit tests.
     Quick,
     /// Reduced default inputs — the shipped tables.
     Default,

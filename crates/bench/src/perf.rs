@@ -1,133 +1,126 @@
-//! The `repro bench` performance harness.
+//! The `repro bench` harness: the deterministic perf trajectory.
 //!
-//! Runs a fixed matrix of apps × policies × cluster sizes with engine
-//! self-metrics enabled, records throughput (events/sec), simulation
-//! rate (sim-ns per wall-ms), peak RSS and makespan per cell, and
-//! reads/writes the schema-versioned `BENCH_quick.json` /
-//! `BENCH_full.json` trajectory files at the repo root. A committed
-//! baseline plus [`compare`] gives every later PR a regression gate.
+//! Runs a fixed matrix of apps × policies × cluster shapes with engine
+//! self-metrics enabled and records, per cell, what the seed alone
+//! determines — tasks, engine events, virtual makespan and the
+//! counter/gauge snapshot — into the schema-versioned
+//! `BENCH_{quick,full,scale}.json` files at the repo root. [`replay`]
+//! re-runs a recorded file's suite at the file's seed and lists every
+//! stored value that is not bit for bit the file's, so a committed file
+//! pins the schedule on any machine.
 //!
-//! Two data classes per cell, deliberately separated in the JSON:
-//!
-//! * `tasks`, `makespan_ms`, `events` and `metrics.{counters,gauges}`
-//!   are **deterministic** — pure functions of the seed; CI asserts
-//!   two same-seed runs agree on them byte-for-byte.
-//! * `wall_ms`, `events_per_sec`, `sim_ns_per_wall_ms`, `peak_rss_kb`
-//!   and `metrics.phases_ns` are **wall-clock** — machine- and
-//!   run-dependent; only the regression gate (with its tolerance
-//!   threshold) looks at them.
+//! Nothing wall-clock is written or compared: wall time, throughput and
+//! RSS are measured by the repo benchmark (`benchmark/`).
 
+use crate::scale::ScaleFanout;
 use crate::{app_by_name, policy_by_name, Scale};
 use distws_apps as apps;
 use distws_core::{ClusterConfig, Workload};
-use distws_json::{impl_to_json, Value};
-use distws_metrics::{peak_rss_kb, Counter, EngineMetrics, MetricsSnapshot};
+use distws_json::{ToJson, Value};
+use distws_metrics::{Counter, EngineMetrics, Gauge, MetricsSnapshot};
 use distws_sim::{SimConfig, Simulation};
 use distws_trace::NullSink;
-use std::time::Instant;
 
 /// Version of the `BENCH_*.json` layout. Bump on any breaking change
 /// to cell fields; the loader rejects mismatches so a stale committed
-/// baseline fails loudly instead of gating against garbage.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// Default regression-gate threshold: fail on a >10 % events/sec drop.
-pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
+/// file fails loudly instead of replaying garbage.
+pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// Which benchmark matrix to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BenchSuite {
-    /// 3 apps × 2 policies on a 4×2 cluster — seconds; the CI smoke.
+    /// 3 apps × 2 policies on a 4×2 cluster — well under a second.
     Quick,
     /// 4 apps × 3 policies on the paper cluster (16×8) plus a first
-    /// above-paper size (32×16 = 512 workers) — minutes.
+    /// above-paper size (32×16 = 512 workers).
     Full,
+    /// The engine at cluster scale: [`ScaleFanout`] under DistWS from
+    /// 8×8 × 100k tasks to 128×16 × 1M tasks.
+    Scale,
 }
 
 impl BenchSuite {
+    /// Every suite, in `--suite` help order.
+    pub const ALL: [BenchSuite; 3] = [BenchSuite::Quick, BenchSuite::Full, BenchSuite::Scale];
+
     /// Wire name (`--suite` value and the `suite` JSON field).
     pub fn name(self) -> &'static str {
         match self {
             BenchSuite::Quick => "quick",
             BenchSuite::Full => "full",
+            BenchSuite::Scale => "scale",
         }
     }
 
     /// Parse a `--suite` value.
     pub fn by_name(name: &str) -> Option<BenchSuite> {
-        match name.to_ascii_lowercase().as_str() {
-            "quick" => Some(BenchSuite::Quick),
-            "full" => Some(BenchSuite::Full),
-            _ => None,
-        }
+        Self::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
     }
 
     /// The committed trajectory file of this suite.
-    pub fn default_out(self) -> &'static str {
-        match self {
-            BenchSuite::Quick => "BENCH_quick.json",
-            BenchSuite::Full => "BENCH_full.json",
-        }
-    }
-
-    /// Timing repetitions per cell: each cell runs this many times and
-    /// reports the fastest wall clock (counters are asserted identical
-    /// across repetitions, so only the timing varies).
-    pub fn iters(self) -> u32 {
-        match self {
-            BenchSuite::Quick => 3,
-            BenchSuite::Full => 2,
-        }
+    pub fn default_out(self) -> String {
+        format!("BENCH_{}.json", self.name())
     }
 }
 
-/// One (app, policy, cluster, scale) point of the matrix.
+/// The workload of a matrix point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchApp {
+    /// An application resolved by [`bench_app`] at default scale.
+    Suite(&'static str),
+    /// [`ScaleFanout`] with this many tasks, salted with the run seed.
+    Fanout(u64),
+}
+
+/// One (app, policy, cluster) point of the matrix.
 #[derive(Debug, Clone)]
 pub struct BenchPoint {
-    /// Application name (resolvable by [`bench_app`]).
-    pub app: &'static str,
+    /// The workload.
+    pub app: BenchApp,
     /// Policy name (resolvable by [`policy_by_name`]).
     pub policy: &'static str,
     /// Cluster shape.
     pub cluster: ClusterConfig,
-    /// Input scale.
-    pub scale: Scale,
 }
 
 /// The fixed matrix of a suite. Fixed means fixed: cells are only ever
-/// appended (the committed baselines match on cell identity).
+/// appended (a replay matches cells by position and identity).
 pub fn matrix(suite: BenchSuite) -> Vec<BenchPoint> {
+    let point = |app, policy, places, workers| BenchPoint {
+        app,
+        policy,
+        cluster: ClusterConfig::new(places, workers),
+    };
     let mut points = Vec::new();
     match suite {
         BenchSuite::Quick => {
-            // Default-scale inputs on a small cluster: tens of ms of
-            // wall clock per cell, enough signal to gate on; the whole
-            // suite still finishes in about a second.
             for app in ["Quicksort", "k-Means", "UTS"] {
                 for policy in ["X10WS", "DistWS"] {
-                    points.push(BenchPoint {
-                        app,
-                        policy,
-                        cluster: ClusterConfig::new(4, 2),
-                        scale: Scale::Default,
-                    });
+                    points.push(point(BenchApp::Suite(app), policy, 4, 2));
                 }
             }
         }
         BenchSuite::Full => {
-            // ClusterConfig::paper() is 16×8 = 128 workers; 32×16 is
-            // the first above-paper point (512 workers).
-            for cluster in [ClusterConfig::paper(), ClusterConfig::new(32, 16)] {
+            // 16×8 is ClusterConfig::paper(); 32×16 is the first
+            // above-paper point (512 workers).
+            for (places, workers) in [(16, 8), (32, 16)] {
                 for app in ["Quicksort", "k-Means", "UTS", "DMG"] {
                     for policy in ["X10WS", "DistWS", "LifelineWS"] {
-                        points.push(BenchPoint {
-                            app,
-                            policy,
-                            cluster: cluster.clone(),
-                            scale: Scale::Default,
-                        });
+                        points.push(point(BenchApp::Suite(app), policy, places, workers));
                     }
                 }
+            }
+        }
+        BenchSuite::Scale => {
+            for (places, workers, tasks) in [
+                (8, 8, 100_000),
+                (32, 16, 100_000),
+                (64, 16, 250_000),
+                (128, 16, 1_000_000),
+            ] {
+                points.push(point(BenchApp::Fanout(tasks), "DistWS", places, workers));
             }
         }
     }
@@ -146,7 +139,8 @@ pub fn bench_app(name: &str, scale: Scale) -> Option<Box<dyn Workload>> {
     app_by_name(name, scale)
 }
 
-/// One measured cell of `BENCH_*.json`.
+/// One recorded cell of `BENCH_*.json`. Every field is a function of
+/// the seed.
 #[derive(Debug, Clone)]
 pub struct BenchCell {
     /// Application display name.
@@ -157,28 +151,19 @@ pub struct BenchCell {
     pub places: u32,
     /// Workers per place.
     pub workers_per_place: u32,
-    /// Tasks executed (deterministic).
+    /// Tasks executed.
     pub tasks: u64,
-    /// Virtual makespan in milliseconds (deterministic).
+    /// Virtual makespan in milliseconds.
     pub makespan_ms: f64,
-    /// Engine events processed (deterministic).
+    /// Engine events processed.
     pub events: u64,
-    /// Wall-clock run time in milliseconds (machine-dependent).
-    pub wall_ms: f64,
-    /// Engine events per wall-clock second — the gated throughput.
-    pub events_per_sec: f64,
-    /// Simulated nanoseconds per wall-clock millisecond.
-    pub sim_ns_per_wall_ms: f64,
-    /// Process peak RSS in KiB after the cell (0 where unavailable;
-    /// process-wide high-water mark, so later cells inherit earlier
-    /// peaks).
-    pub peak_rss_kb: u64,
-    /// Full counter/gauge/phase snapshot.
+    /// Counter/gauge snapshot. A fresh run also carries the wall-clock
+    /// phase timers; they are never written or compared.
     pub metrics: MetricsSnapshot,
 }
 
 impl BenchCell {
-    /// Cell identity used to match against a baseline.
+    /// Cell identity: a replayed cell must match it in place.
     pub fn key(&self) -> (String, String, u32, u32) {
         (
             self.app.clone(),
@@ -187,6 +172,35 @@ impl BenchCell {
             self.workers_per_place,
         )
     }
+
+    /// `"app / policy on PxW"`, how errors and drift lines name a cell.
+    pub fn label(&self) -> String {
+        format!(
+            "{} / {} on {}x{}",
+            self.app, self.policy, self.places, self.workers_per_place
+        )
+    }
+
+    /// Every stored value, named. Floats render in Rust's shortest
+    /// round-trip form, so equal strings mean equal bits.
+    fn values(&self) -> Vec<(&'static str, String)> {
+        let mut out = vec![
+            ("tasks", self.tasks.to_string()),
+            ("events", self.events.to_string()),
+            ("makespan_ms", self.makespan_ms.to_string()),
+        ];
+        out.extend(
+            Counter::ALL
+                .iter()
+                .map(|&c| (c.name(), self.metrics.counter(c).to_string())),
+        );
+        out.extend(
+            Gauge::ALL
+                .iter()
+                .map(|&g| (g.name(), self.metrics.gauge(g).to_string())),
+        );
+        out
+    }
 }
 
 /// A whole `BENCH_*.json` document.
@@ -194,7 +208,7 @@ impl BenchCell {
 pub struct BenchReport {
     /// Layout version — see [`BENCH_SCHEMA_VERSION`].
     pub schema_version: u64,
-    /// Suite wire name (`"quick"` / `"full"`).
+    /// Suite wire name (`"quick"` / `"full"` / `"scale"`).
     pub suite: String,
     /// The seed every cell ran with.
     pub seed: u64,
@@ -202,99 +216,89 @@ pub struct BenchReport {
     pub cells: Vec<BenchCell>,
 }
 
-impl_to_json!(BenchCell {
-    app,
-    policy,
-    places,
-    workers_per_place,
-    tasks,
-    makespan_ms,
-    events,
-    wall_ms,
-    events_per_sec,
-    sim_ns_per_wall_ms,
-    peak_rss_kb,
-    metrics
-});
-impl_to_json!(BenchReport {
+impl ToJson for BenchCell {
+    fn to_json(&self) -> Value {
+        let mut metrics = self.metrics.to_json();
+        if let Value::Object(sections) = &mut metrics {
+            sections.retain(|(key, _)| key != "phases_ns");
+        }
+        let mut o = Value::object();
+        o.set("app", &self.app)
+            .set("policy", &self.policy)
+            .set("places", self.places)
+            .set("workers_per_place", self.workers_per_place)
+            .set("tasks", self.tasks)
+            .set("makespan_ms", self.makespan_ms)
+            .set("events", self.events)
+            .set("metrics", metrics);
+        o
+    }
+}
+distws_json::impl_to_json!(BenchReport {
     schema_version,
     suite,
     seed,
     cells
 });
 
-/// Run one matrix point with metrics enabled, `iters` times, and keep
-/// the fastest wall clock (counters and report are deterministic in
-/// the seed — asserted — so repetitions only de-noise the timing).
-pub fn run_cell(point: &BenchPoint, seed: u64, iters: u32) -> BenchCell {
-    assert!(iters >= 1, "run_cell needs at least one iteration");
-    let mut best: Option<(std::time::Duration, distws_core::RunReport, MetricsSnapshot)> = None;
-    for _ in 0..iters {
-        let app = bench_app(point.app, point.scale)
-            .unwrap_or_else(|| panic!("unknown bench app '{}'", point.app));
-        let policy = policy_by_name(point.policy)
-            .unwrap_or_else(|| panic!("unknown bench policy '{}'", point.policy));
-        let mut cfg = SimConfig::new(point.cluster.clone());
-        cfg.seed = seed;
-        let mut sim = Simulation::with_config(cfg, policy);
-        let mut metrics = EngineMetrics::new();
-        let start = Instant::now();
-        let (report, _) = sim.run_app_metered(app.as_ref(), &mut NullSink, &mut metrics);
-        let wall = start.elapsed();
-        let snapshot = metrics.snapshot();
-        match &best {
-            Some((best_wall, _, best_snap)) => {
-                assert_eq!(
-                    best_snap.counters, snapshot.counters,
-                    "nondeterministic counters across repetitions of {} / {}",
-                    point.app, point.policy
-                );
-                if wall < *best_wall {
-                    best = Some((wall, report, snapshot));
-                }
-            }
-            None => best = Some((wall, report, snapshot)),
-        }
-    }
-    let (wall, report, snapshot) = best.unwrap();
-    let events = snapshot.counter(Counter::EventsProcessed);
-    let wall_ms = wall.as_secs_f64() * 1e3;
-    BenchCell {
+/// Run one workload under a named policy with metrics enabled, then
+/// validate its answer. Errors name the cell.
+pub fn run_workload(
+    app: &dyn Workload,
+    policy: &str,
+    cluster: &ClusterConfig,
+    seed: u64,
+) -> Result<BenchCell, String> {
+    let policy = policy_by_name(policy).ok_or_else(|| format!("unknown policy '{policy}'"))?;
+    let mut cfg = SimConfig::new(cluster.clone());
+    cfg.seed = seed;
+    let mut metrics = EngineMetrics::new();
+    // `run_app_metered` without its panicking validation, so a wrong
+    // answer is an error that names the cell.
+    let (report, _) = Simulation::with_config(cfg, policy).run_roots_metered(
+        &app.name(),
+        app.roots(cluster),
+        &mut NullSink,
+        &mut metrics,
+    );
+    let metrics = metrics.snapshot();
+    let cell = BenchCell {
         app: report.app,
         policy: report.scheduler,
-        places: point.cluster.places,
-        workers_per_place: point.cluster.workers_per_place,
+        places: cluster.places,
+        workers_per_place: cluster.workers_per_place,
         tasks: report.tasks_executed,
         makespan_ms: report.makespan_ns as f64 / 1e6,
-        events,
-        wall_ms,
-        events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-        sim_ns_per_wall_ms: report.makespan_ns as f64 / wall_ms.max(1e-9),
-        peak_rss_kb: peak_rss_kb().unwrap_or(0),
-        metrics: snapshot,
-    }
+        events: metrics.counter(Counter::EventsProcessed),
+        metrics,
+    };
+    app.validate()
+        .map_err(|e| format!("{}: invalid result: {e}", cell.label()))?;
+    Ok(cell)
 }
 
-/// Run a whole suite. `progress` is called before each cell with the
-/// point and its 0-based index (the CLI prints a status line; tests
-/// pass a no-op).
-pub fn run_suite(
-    suite: BenchSuite,
-    seed: u64,
-    mut progress: impl FnMut(usize, &BenchPoint),
-) -> BenchReport {
-    let points = matrix(suite);
-    let mut cells = Vec::with_capacity(points.len());
-    for (i, point) in points.iter().enumerate() {
-        progress(i, point);
-        cells.push(run_cell(point, seed, suite.iters()));
-    }
-    BenchReport {
+/// Run one matrix point (see [`run_workload`]).
+pub fn run_cell(point: &BenchPoint, seed: u64) -> Result<BenchCell, String> {
+    let app: Box<dyn Workload> = match point.app {
+        BenchApp::Suite(name) => {
+            bench_app(name, Scale::Default).ok_or_else(|| format!("unknown bench app '{name}'"))?
+        }
+        BenchApp::Fanout(tasks) => Box::new(ScaleFanout::new(tasks, seed)),
+    };
+    run_workload(app.as_ref(), point.policy, &point.cluster, seed)
+}
+
+/// Run a whole suite, one run per cell.
+pub fn run_suite(suite: BenchSuite, seed: u64) -> Result<BenchReport, String> {
+    Ok(BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         suite: suite.name().to_string(),
         seed,
-        cells,
-    }
+        cells: matrix(suite)
+            .iter()
+            .map(|p| run_cell(p, seed))
+            .collect::<Result<_, _>>()?,
+    })
 }
 
 /// Parse a `BENCH_*.json` document, validating its schema version.
@@ -326,38 +330,22 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
         .iter()
         .enumerate()
     {
-        let str_field = |k: &str| {
-            c.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or(format!("cell {i}: missing {k}"))
-        };
-        let u64_field = |k: &str| {
-            c.get(k)
-                .and_then(Value::as_u64)
-                .ok_or(format!("cell {i}: missing {k}"))
-        };
-        let f64_field = |k: &str| {
-            c.get(k)
-                .and_then(Value::as_f64)
-                .ok_or(format!("cell {i}: missing {k}"))
-        };
+        let field = |k: &str| c.get(k).ok_or(format!("cell {i}: missing {k}"));
+        let bad = |k: &str| format!("cell {i}: bad {k}");
+        let str_field = |k: &str| field(k)?.as_str().map(str::to_string).ok_or_else(|| bad(k));
+        let u64_field = |k: &str| field(k)?.as_u64().ok_or_else(|| bad(k));
+        let u32_field = |k: &str| u32::try_from(u64_field(k)?).map_err(|_| bad(k));
         cells.push(BenchCell {
             app: str_field("app")?,
             policy: str_field("policy")?,
-            places: u64_field("places")? as u32,
-            workers_per_place: u64_field("workers_per_place")? as u32,
+            places: u32_field("places")?,
+            workers_per_place: u32_field("workers_per_place")?,
             tasks: u64_field("tasks")?,
-            makespan_ms: f64_field("makespan_ms")?,
+            makespan_ms: field("makespan_ms")?
+                .as_f64()
+                .ok_or_else(|| bad("makespan_ms"))?,
             events: u64_field("events")?,
-            wall_ms: f64_field("wall_ms")?,
-            events_per_sec: f64_field("events_per_sec")?,
-            sim_ns_per_wall_ms: f64_field("sim_ns_per_wall_ms")?,
-            peak_rss_kb: u64_field("peak_rss_kb")?,
-            metrics: c
-                .get("metrics")
-                .and_then(MetricsSnapshot::from_json)
-                .ok_or(format!("cell {i}: missing metrics"))?,
+            metrics: MetricsSnapshot::from_json(field("metrics")?).ok_or_else(|| bad("metrics"))?,
         });
     }
     Ok(BenchReport {
@@ -368,102 +356,67 @@ pub fn parse_report(text: &str) -> Result<BenchReport, String> {
     })
 }
 
-/// One gated throughput regression.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// Application of the regressed cell.
-    pub app: String,
-    /// Policy of the regressed cell.
-    pub policy: String,
-    /// Cluster places of the regressed cell.
-    pub places: u32,
-    /// Workers per place of the regressed cell.
-    pub workers_per_place: u32,
-    /// Baseline events/sec.
-    pub baseline_eps: f64,
-    /// Current events/sec.
-    pub current_eps: f64,
-    /// Drop relative to baseline, in percent (positive = slower).
-    pub drop_pct: f64,
-}
-
-/// Compare `current` against a committed `baseline`, cell by cell
-/// (matched on app/policy/cluster identity — cells missing on either
-/// side are skipped, so the matrix can grow). Returns every cell whose
-/// events/sec dropped by more than `threshold_pct`.
-pub fn compare(
-    current: &BenchReport,
-    baseline: &BenchReport,
-    threshold_pct: f64,
-) -> Vec<Regression> {
+/// Compare recorded cells with replayed ones pairwise, in order: one
+/// line per cell whose identity differs, else one per differing value.
+pub fn drift(recorded: &[BenchCell], replayed: &[BenchCell]) -> Vec<String> {
     let mut out = Vec::new();
-    for cur in &current.cells {
-        let Some(base) = baseline.cells.iter().find(|b| b.key() == cur.key()) else {
-            continue;
-        };
-        if base.events_per_sec <= 0.0 {
+    for (want, got) in recorded.iter().zip(replayed) {
+        let cell = want.label();
+        if want.key() != got.key() {
+            out.push(format!("{cell}: replayed as {}", got.label()));
             continue;
         }
-        let drop_pct = (base.events_per_sec - cur.events_per_sec) / base.events_per_sec * 100.0;
-        if drop_pct > threshold_pct {
-            out.push(Regression {
-                app: cur.app.clone(),
-                policy: cur.policy.clone(),
-                places: cur.places,
-                workers_per_place: cur.workers_per_place,
-                baseline_eps: base.events_per_sec,
-                current_eps: cur.events_per_sec,
-                drop_pct,
-            });
+        for ((field, was), (_, now)) in want.values().into_iter().zip(got.values()) {
+            if was != now {
+                out.push(format!("{cell}: {field} {was} -> {now}"));
+            }
         }
     }
     out
 }
 
-/// The human bench table (`repro bench` / `diag metrics` output).
+/// Replay a recorded trajectory: re-run its suite's cells at its seed
+/// and return the [`drift`] lines, plus one line if the file does not
+/// hold exactly the suite's cells. Empty means the file replays bit for
+/// bit. `Err` means a cell could not be run or validated. This is
+/// `repro bench --check`.
+pub fn replay(recorded: &BenchReport) -> Result<Vec<String>, String> {
+    let suite = BenchSuite::by_name(&recorded.suite)
+        .ok_or_else(|| format!("unknown suite '{}'", recorded.suite))?;
+    let points = matrix(suite);
+    let replayed = points
+        .iter()
+        .take(recorded.cells.len())
+        .map(|p| run_cell(p, recorded.seed))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out = drift(&recorded.cells, &replayed);
+    if recorded.cells.len() != points.len() {
+        out.push(format!(
+            "suite {}: {} cells recorded, {} in the suite",
+            suite.name(),
+            recorded.cells.len(),
+            points.len()
+        ));
+    }
+    Ok(out)
+}
+
+/// The terminal table `repro bench` prints.
 pub fn render_bench_table(report: &BenchReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} {:<12} {:>8} {:>10} {:>13} {:>10} {:>9} {:>13} {:>14} {:>10}\n",
-        "app",
-        "policy",
-        "cluster",
-        "tasks",
-        "makespan(ms)",
-        "events",
-        "wall(ms)",
-        "events/sec",
-        "sim-ns/wall-ms",
-        "rss(MiB)"
-    ));
+    let mut out = format!(
+        "{:<12} {:<12} {:>8} {:>10} {:>10} {:>13}\n",
+        "app", "policy", "cluster", "tasks", "events", "makespan(ms)"
+    );
     for c in &report.cells {
         out.push_str(&format!(
-            "{:<12} {:<12} {:>8} {:>10} {:>13.3} {:>10} {:>9.1} {:>13.0} {:>14.0} {:>10.1}\n",
+            "{:<12} {:<12} {:>8} {:>10} {:>10} {:>13.3}\n",
             c.app,
             c.policy,
             format!("{}x{}", c.places, c.workers_per_place),
             c.tasks,
-            c.makespan_ms,
             c.events,
-            c.wall_ms,
-            c.events_per_sec,
-            c.sim_ns_per_wall_ms,
-            c.peak_rss_kb as f64 / 1024.0
+            c.makespan_ms
         ));
-    }
-    out
-}
-
-/// The `diag metrics` view: one counter/gauge/phase table per cell.
-pub fn render_metrics_view(report: &BenchReport) -> String {
-    let mut out = String::new();
-    for c in &report.cells {
-        out.push_str(&format!(
-            "## {} / {} on {}x{} (seed {})\n",
-            c.app, c.policy, c.places, c.workers_per_place, report.seed
-        ));
-        out.push_str(&c.metrics.render_table());
-        out.push('\n');
     }
     out
 }
@@ -471,140 +424,111 @@ pub fn render_metrics_view(report: &BenchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distws_core::{Locality, PlaceId, TaskScope, TaskSpec};
 
-    fn quick_point() -> BenchPoint {
-        BenchPoint {
-            app: "Quicksort",
-            policy: "DistWS",
-            cluster: ClusterConfig::new(2, 2),
-            scale: Scale::Quick,
-        }
+    fn quick_cell(seed: u64) -> BenchCell {
+        let app = bench_app("Quicksort", Scale::Quick).unwrap();
+        run_workload(app.as_ref(), "DistWS", &ClusterConfig::new(2, 2), seed).unwrap()
     }
 
     #[test]
     fn cell_counters_are_deterministic_in_the_seed() {
-        let a = run_cell(&quick_point(), 7, 1);
-        let b = run_cell(&quick_point(), 7, 2); // iters=2 also self-asserts
-
-        assert_eq!(a.metrics.counters, b.metrics.counters);
-        assert_eq!(a.metrics.gauges, b.metrics.gauges);
-        assert_eq!(a.tasks, b.tasks);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.makespan_ms, b.makespan_ms);
+        let cells = [quick_cell(7), quick_cell(7)];
+        assert!(drift(&cells[..1], &cells[1..]).is_empty());
         // Sanity: the engine actually counted things.
+        let a = &cells[0];
         assert!(a.events > 0);
         assert!(a.metrics.counter(Counter::EventQueuePushes) >= a.events);
     }
 
     #[test]
-    fn report_json_roundtrips_through_parse() {
+    fn report_json_roundtrips_without_wall_clock_fields() {
         let report = BenchReport {
             schema_version: BENCH_SCHEMA_VERSION,
             suite: "quick".into(),
             seed: 42,
-            cells: vec![run_cell(&quick_point(), 42, 1)],
+            cells: vec![quick_cell(42)],
         };
         let text = distws_json::to_string_pretty(&report);
+        for wall in ["wall_ms", "events_per_sec", "peak_rss_kb", "phases_ns"] {
+            assert!(!text.contains(wall), "{wall} in {text}");
+        }
         let back = parse_report(&text).unwrap();
-        assert_eq!(back.seed, 42);
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.cells[0].key(), report.cells[0].key());
-        assert_eq!(back.cells[0].metrics, report.cells[0].metrics);
-        assert_eq!(back.cells[0].events, report.cells[0].events);
+        assert_eq!((back.seed, back.cells.len()), (42, 1));
+        assert!(drift(&report.cells, &back.cells).is_empty());
+        assert_eq!(distws_json::to_string_pretty(&back), text);
     }
 
     #[test]
-    fn parse_rejects_wrong_schema_version() {
-        let text = r#"{"schema_version": 999, "suite": "quick", "seed": 1, "cells": []}"#;
+    fn parse_rejects_other_schema_versions() {
+        let text = r#"{"schema_version": 1, "suite": "quick", "seed": 1, "cells": []}"#;
         let err = parse_report(text).unwrap_err();
-        assert!(err.contains("999"), "{err}");
+        assert!(err.contains("schema_version 1"), "{err}");
     }
 
     #[test]
-    fn compare_flags_only_drops_beyond_threshold() {
-        let mut base = BenchReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            suite: "quick".into(),
-            seed: 1,
-            cells: vec![run_cell(&quick_point(), 1, 1)],
-        };
-        base.cells[0].events_per_sec = 1_000_000.0;
-        let mut cur = base.clone();
-        cur.cells[0].events_per_sec = 950_000.0; // -5 %
-        assert!(compare(&cur, &base, 10.0).is_empty());
-        cur.cells[0].events_per_sec = 850_000.0; // -15 %
-        let regs = compare(&cur, &base, 10.0);
-        assert_eq!(regs.len(), 1);
-        assert!((regs[0].drop_pct - 15.0).abs() < 1e-9);
-        // Faster-than-baseline never gates.
-        cur.cells[0].events_per_sec = 2_000_000.0;
-        assert!(compare(&cur, &base, 10.0).is_empty());
+    fn drift_names_the_cell_and_every_differing_field() {
+        let base = [quick_cell(1)];
+        let mut other = base.clone();
+        other[0].events += 1;
+        other[0].metrics.counters[Counter::MsgsSent.index()] += 1;
+        let lines = drift(&base, &other);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("Quicksort / DistWS on 2x2: events "));
+        assert!(lines[1].starts_with("Quicksort / DistWS on 2x2: msgs_sent "));
+        other[0].places = 3;
+        assert_eq!(drift(&base, &other).len(), 1, "identity drift is one line");
     }
 
     #[test]
-    fn quick_matrix_shape_is_fixed() {
-        let m = matrix(BenchSuite::Quick);
-        assert_eq!(m.len(), 6);
-        assert!(m.iter().all(|p| p.cluster.places == 4));
-        let full = matrix(BenchSuite::Full);
-        assert_eq!(full.len(), 24);
-        assert!(full.iter().any(|p| p.cluster.places == 32));
+    fn matrix_shapes_are_fixed() {
+        let shape = |suite| matrix(suite).len();
+        assert_eq!(BenchSuite::ALL.map(shape), [6, 24, 4]);
+        assert!(matrix(BenchSuite::Full)
+            .iter()
+            .any(|p| p.cluster.places == 32));
+        let tasks: u64 = matrix(BenchSuite::Scale)
+            .iter()
+            .map(|p| match p.app {
+                BenchApp::Fanout(tasks) => tasks,
+                BenchApp::Suite(name) => panic!("{name} in the scale suite"),
+            })
+            .sum();
+        assert_eq!(tasks, 1_450_000);
+        assert_eq!(BenchSuite::by_name("Scale"), Some(BenchSuite::Scale));
+        assert_eq!(BenchSuite::Scale.default_out(), "BENCH_scale.json");
+    }
+
+    /// Runs one task and then claims a wrong answer.
+    struct WrongAnswer;
+
+    impl Workload for WrongAnswer {
+        fn name(&self) -> String {
+            "WrongAnswer".into()
+        }
+
+        fn roots(&self, _: &ClusterConfig) -> Vec<TaskSpec> {
+            vec![TaskSpec::new(
+                PlaceId(0),
+                Locality::Flexible,
+                1_000,
+                "wrong",
+                |_: &mut dyn TaskScope| {},
+            )]
+        }
+
+        fn validate(&self) -> Result<(), String> {
+            Err("checksum mismatch".into())
+        }
     }
 
     #[test]
-    fn metrics_view_fixture_is_pinned() {
-        let snapshot = MetricsSnapshot {
-            counters: (1..=14).collect(),
-            gauges: vec![21, 22, 23],
-            phase_ns: vec![31, 32, 33],
-        };
-        let report = BenchReport {
-            schema_version: BENCH_SCHEMA_VERSION,
-            suite: "quick".into(),
-            seed: 7,
-            cells: vec![BenchCell {
-                app: "Quicksort".into(),
-                policy: "DistWS".into(),
-                places: 4,
-                workers_per_place: 2,
-                tasks: 902,
-                makespan_ms: 1.0,
-                events: 1,
-                wall_ms: 1.0,
-                events_per_sec: 1.0,
-                sim_ns_per_wall_ms: 1.0,
-                peak_rss_kb: 1024,
-                metrics: snapshot,
-            }],
-        };
-        let expected = "\
-## Quicksort / DistWS on 4x2 (seed 7)
-counter                                     value
-events_processed                                1
-event_queue_pushes                              2
-event_queue_pops                                3
-tasks_allocated                                 4
-deque_grows                                     5
-steal_attempts.local_private                    6
-steal_attempts.local_shared                     7
-steal_attempts.remote                           8
-steal_successes.local_private                   9
-steal_successes.local_shared                   10
-steal_successes.remote                         11
-msgs_sent                                      12
-msgs_dropped                                   13
-msgs_retried                                   14
-gauge                                       value
-event_queue_max_depth                          21
-private_deque_max_depth                        22
-shared_deque_max_depth                         23
-phase (wall ns)                             value
-event_dispatch                                 31
-task_execution                                 32
-trace_emission                                 33
-
-";
-        assert_eq!(render_metrics_view(&report), expected);
+    fn a_cell_whose_workload_fails_validation_fails() {
+        let err = run_workload(&WrongAnswer, "DistWS", &ClusterConfig::new(2, 2), 0).unwrap_err();
+        assert_eq!(
+            err,
+            "WrongAnswer / DistWS on 2x2: invalid result: checksum mismatch"
+        );
     }
 
     #[test]

@@ -1,48 +1,61 @@
-//! PR invariant: the engine hot-path rework (calendar event queue,
-//! task/latch arenas, worker bitsets, cached victim lists, buffered
-//! sinks) must not move a single counter.
+//! The committed trajectories replay: [`replay`], the function behind
+//! `repro bench --check`, re-runs a recorded file's cells at its seed
+//! and must find every stored value — tasks, events, makespan, every
+//! counter and gauge — bit for bit. Any change to the schedule the
+//! engine produces for a seed fails here.
 //!
-//! Re-runs every quick-suite matrix cell in-process and asserts the
-//! deterministic fields — tasks, virtual makespan, event count, all
-//! metrics counters and gauges — are bit-identical to the committed
-//! `BENCH_quick.json` baseline. Wall-clock fields (`wall_ms`,
-//! `events_per_sec`, `phase_ns`, `peak_rss_kb`) are machine-dependent
-//! and excluded.
+//! In debug this covers all of `BENCH_quick.json` and the two 100k-task
+//! cells of `BENCH_scale.json`; CI replays all three files whole, in
+//! release.
 
-use distws_bench::perf::{matrix, parse_report, run_cell, BenchSuite};
+use distws_bench::perf::{drift, parse_report, replay, BenchReport};
+use distws_metrics::Counter;
+
+fn committed(name: &str) -> BenchReport {
+    let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    parse_report(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
 
 #[test]
-fn quick_suite_counters_match_committed_baseline() {
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_quick.json"
-    ))
-    .expect("committed BENCH_quick.json");
-    let baseline = parse_report(&text).expect("parse BENCH_quick.json");
+fn quick_trajectory_replays_bit_for_bit() {
+    assert_eq!(replay(&committed("BENCH_quick.json")), Ok(vec![]));
+}
 
-    let points = matrix(BenchSuite::Quick);
+#[test]
+fn scale_trajectory_100k_cells_replay_bit_for_bit() {
+    let mut scale = committed("BENCH_scale.json");
+    scale.cells.truncate(2);
+    assert!(scale.cells.iter().all(|c| c.tasks == 100_000));
+    // The cells replay; the only drift is the two cells cut off.
     assert_eq!(
-        points.len(),
-        baseline.cells.len(),
-        "matrix and baseline disagree on cell count"
+        replay(&scale),
+        Ok(vec![
+            "suite scale: 2 cells recorded, 4 in the suite".to_string()
+        ])
     );
-    for (point, want) in points.iter().zip(&baseline.cells) {
-        let got = run_cell(point, baseline.seed, 1);
-        assert_eq!(got.key(), want.key(), "cell identity drifted");
-        let cell = format!("{} / {}", got.app, got.policy);
-        assert_eq!(got.tasks, want.tasks, "{cell}: tasks");
-        assert_eq!(got.events, want.events, "{cell}: events");
-        assert_eq!(
-            got.makespan_ms.to_bits(),
-            want.makespan_ms.to_bits(),
-            "{cell}: makespan {} != {}",
-            got.makespan_ms,
-            want.makespan_ms
-        );
-        assert_eq!(
-            got.metrics.counters, want.metrics.counters,
-            "{cell}: counters"
-        );
-        assert_eq!(got.metrics.gauges, want.metrics.gauges, "{cell}: gauges");
-    }
+}
+
+#[test]
+fn one_edited_value_is_one_drift_line_naming_cell_and_field() {
+    let recorded = committed("BENCH_quick.json");
+
+    let mut edited = recorded.clone();
+    edited.cells[3].metrics.counters[Counter::MsgsSent.index()] += 1;
+    let lines = drift(&edited.cells, &recorded.cells);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].starts_with("k-Means / DistWS on 4x2: msgs_sent "),
+        "{lines:?}"
+    );
+
+    let mut edited = recorded.clone();
+    let ms = &mut edited.cells[0].makespan_ms;
+    *ms = f64::from_bits(ms.to_bits() + 1);
+    let lines = drift(&edited.cells, &recorded.cells);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].starts_with("Quicksort / X10WS on 4x2: makespan_ms "),
+        "{lines:?}"
+    );
 }

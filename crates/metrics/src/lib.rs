@@ -2,8 +2,9 @@
 //!
 //! Low-overhead self-profiling for the execution engines: monotonic
 //! [`Counter`]s, high-water [`Gauge`]s, phase-sliced wall-clock timers
-//! ([`Phase`]) and a peak-RSS probe — the measurement substrate the
-//! `repro bench` harness records into `BENCH_*.json`.
+//! ([`Phase`]) and a peak-RSS probe. `repro bench` records the
+//! counters and gauges into `BENCH_*.json`; the repo benchmark reads
+//! the timers and the probe.
 //!
 //! The design mirrors the trace layer's pay-for-what-you-use contract:
 //! instrumentation sites go through a [`MetricsSink`] and are gated on
@@ -17,8 +18,9 @@
 //!   simulated execution — same seed, same values, asserted in CI.
 //! * **Wall-clock**: phase timers and the RSS probe read the host
 //!   clock and `/proc`; they vary run to run and machine to machine.
-//!   [`MetricsSnapshot::to_json`] keeps them under separate keys so
-//!   the determinism check can compare only the deterministic part.
+//!   [`MetricsSnapshot::to_json`] keeps them under separate keys, and
+//!   the `BENCH_*.json` trajectory files store only the deterministic
+//!   part.
 
 #![forbid(unsafe_code)]
 
@@ -391,8 +393,8 @@ impl MetricsSink for EngineMetrics {
 // Snapshot + JSON
 // ---------------------------------------------------------------------------
 
-/// A frozen view of the metrics at the end of a run — what a
-/// `BENCH_*.json` cell embeds.
+/// A frozen view of the metrics at the end of a run. A `BENCH_*.json`
+/// cell embeds its counters and gauges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Counter values, indexed like [`Counter::ALL`]. Deterministic.
@@ -481,8 +483,8 @@ impl MetricsSnapshot {
         })
     }
 
-    /// The fixed-width counter/gauge/phase table `diag metrics` and
-    /// `repro bench` print. Output is pinned by a fixture test.
+    /// The fixed-width counter/gauge/phase table `diag metrics`
+    /// prints. Output is pinned by a fixture test.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("{:<34} {:>14}\n", "counter", "value"));
