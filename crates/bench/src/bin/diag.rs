@@ -30,7 +30,13 @@ fn main() {
         "dmg" => Box::new(distws_apps::DelaunayGen::default()),
         "kmeans" => Box::new(distws_apps::KMeans::default()),
         "agglom" => Box::new(distws_apps::Agglomerative::default()),
-        other => panic!("unknown app {other}"),
+        other => {
+            eprintln!("unknown app '{other}'");
+            eprintln!(
+                "usage: diag <turing|nbody|dmr|qsort|dmg|kmeans|agglom> | diag metrics <app>"
+            );
+            std::process::exit(2);
+        }
     };
     for policy in [
         Box::new(X10Ws) as Box<dyn Policy>,

@@ -264,11 +264,6 @@ impl Cache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// Reset the counters, keeping cache contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -174,11 +174,6 @@ impl<T> DistArray<T> {
         &self.data
     }
 
-    /// Mutable view of all elements.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consume the array, returning its storage.
     pub fn into_inner(self) -> Vec<T> {
         self.data

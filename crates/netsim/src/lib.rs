@@ -112,11 +112,6 @@ impl Network {
         self.fault_rng = SplitMix64::new(seed);
     }
 
-    /// The installed fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Enable or disable per-message logging. Off by default so
     /// untraced runs pay one branch per send and no allocation.
     pub fn set_recording(&mut self, on: bool) {
@@ -130,11 +125,6 @@ impl Network {
     /// Empty unless [`Self::set_recording`] was turned on.
     pub fn take_log(&mut self) -> Vec<MsgRecord> {
         std::mem::take(&mut self.log)
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// The topology in use.

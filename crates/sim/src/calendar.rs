@@ -1,34 +1,15 @@
-//! A calendar (bucket) event queue for the DES hot path.
+//! The DES event queue.
 //!
-//! [`CalendarQueue`] replaces the engine's former single global
-//! `BinaryHeap<Event>`: future events are spread over a ring of
-//! fixed-width virtual-time buckets (Brown's calendar queue), so a
-//! push is O(1) routing instead of an O(log n) sift through one heap
-//! holding every pending event. Only the *active window* — the
-//! earliest bucket — is kept heap-ordered, and pops come from it.
+//! [`CalendarQueue`] pops events in `(time, push order)` order: `seq`
+//! is a monotone push counter, so ties on virtual time break in push
+//! order and the event schedule is reproducible byte for byte
+//! (property-tested against a reference heap in `tests/calendar.rs`).
 //!
-//! The pop order is **exactly** the `(time, seq)` order of a single
-//! binary heap (property-tested in `tests/calendar.rs`): `seq` is a
-//! monotone push counter, so ties on virtual time break in push order,
-//! byte-for-byte reproducing the pre-calendar event schedule. The
-//! structure relies on the DES invariant that a push is never earlier
-//! than the event currently being dispatched; a push below the active
-//! window still lands in the active heap and stays correctly ordered.
-//!
-//! Bucket width is chosen adaptively: the queue starts unbucketed
-//! (everything pools in an overflow bin) and on the first pop — and
-//! whenever ring and window drain while the overflow holds events —
-//! it re-buckets, sizing `width` so the observed span spreads at
-//! roughly one event per bucket across a [`RING_BUCKETS`]-slot ring.
-//! Far-future events (beyond the ring horizon, e.g. fault-injection
-//! kills) wait in the overflow bin until the window reaches them.
+//! It is one `BinaryHeap` keyed by reversed `(time, seq)`; the newtype
+//! owns the `seq` counter so no caller can break the tie-break rule.
+//! The name is kept because the benchmark harness spells it.
 
 use std::collections::BinaryHeap;
-
-/// Number of bucket slots in the ring. 512 buckets at the adaptive
-/// width cover the observed event span; a larger ring only helps
-/// pathologically sparse schedules, which re-bucket instead.
-pub const RING_BUCKETS: usize = 512;
 
 struct Entry<T> {
     time: u64,
@@ -54,167 +35,44 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Calendar/bucket priority queue popping `(time, push order)` minima.
+/// Priority queue popping `(time, push order)` minima.
 pub struct CalendarQueue<T> {
-    /// Heap over the active window: every queued event with
-    /// `time < active_end` is here, so its minimum is the global one.
-    active: BinaryHeap<Entry<T>>,
-    /// Exclusive virtual-time bound of the active window.
-    active_end: u64,
-    /// Bucket width in virtual ns; 0 = unbucketed startup state.
-    width: u64,
-    /// `ring[(base + i) % RING_BUCKETS]` covers
-    /// `[active_end + i*width, active_end + (i+1)*width)`, unsorted.
-    ring: Vec<Vec<Entry<T>>>,
-    base: usize,
-    ring_len: usize,
-    /// Events beyond the ring horizon (and everything pre-first-pop).
-    overflow: Vec<Entry<T>>,
-    /// Earliest time in `overflow` (`u64::MAX` when empty). The pop
-    /// path folds overflow events back into the active window the
-    /// moment the window reaches them, so a stream of near-term pushes
-    /// can never advance the ring past a parked far-future event.
-    overflow_min: u64,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
-    len: usize,
 }
 
 impl<T> CalendarQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         CalendarQueue {
-            active: BinaryHeap::new(),
-            active_end: 0,
-            width: 0,
-            ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
-            base: 0,
-            ring_len: 0,
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
+            heap: BinaryHeap::new(),
             seq: 0,
-            len: 0,
         }
     }
 
     /// Queued event count.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Queue `item` at `time`. Ties on `time` pop in push order.
     pub fn push(&mut self, time: u64, item: T) {
         self.seq += 1;
-        let e = Entry {
+        self.heap.push(Entry {
             time,
             seq: self.seq,
             item,
-        };
-        self.len += 1;
-        self.route(e);
-    }
-
-    fn route(&mut self, e: Entry<T>) {
-        if self.width == 0 {
-            self.overflow_min = self.overflow_min.min(e.time);
-            self.overflow.push(e);
-            return;
-        }
-        if e.time < self.active_end {
-            self.active.push(e);
-            return;
-        }
-        let idx = (e.time - self.active_end) / self.width;
-        if idx < RING_BUCKETS as u64 {
-            let slot = (self.base + idx as usize) % RING_BUCKETS;
-            self.ring[slot].push(e);
-            self.ring_len += 1;
-        } else {
-            self.overflow_min = self.overflow_min.min(e.time);
-            self.overflow.push(e);
-        }
+        });
     }
 
     /// Pop the earliest event (`(time, push order)` minimum).
     pub fn pop(&mut self) -> Option<(u64, T)> {
-        loop {
-            if let Some(e) = self.active.pop() {
-                self.len -= 1;
-                return Some((e.time, e.item));
-            }
-            if self.ring_len > 0 {
-                // Advance the window to the next non-empty bucket and
-                // heap its events. Bounded by RING_BUCKETS steps.
-                loop {
-                    let slot = self.base;
-                    self.base = (self.base + 1) % RING_BUCKETS;
-                    self.active_end += self.width;
-                    // Fold back any overflow events the window has now
-                    // reached: they order before (or tie-interleave
-                    // with) this bucket's events.
-                    if self.overflow_min < self.active_end {
-                        self.drain_overflow_into_active();
-                    }
-                    if !self.ring[slot].is_empty() {
-                        let bucket = std::mem::take(&mut self.ring[slot]);
-                        self.ring_len -= bucket.len();
-                        if self.active.is_empty() {
-                            self.active = BinaryHeap::from(bucket);
-                        } else {
-                            self.active.extend(bucket);
-                        }
-                        break;
-                    }
-                    if !self.active.is_empty() {
-                        // The fold-back alone put events in the window.
-                        break;
-                    }
-                }
-            } else if !self.overflow.is_empty() {
-                self.rebucket();
-            } else {
-                return None;
-            }
-        }
-    }
-
-    /// Re-seed window, width and ring from the overflow bin: aim for
-    /// one event per bucket over the span actually present.
-    fn rebucket(&mut self) {
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for e in &self.overflow {
-            min = min.min(e.time);
-            max = max.max(e.time);
-        }
-        self.width = ((max - min) / self.overflow.len() as u64).max(1);
-        self.active_end = min + self.width;
-        self.base = 0;
-        self.overflow_min = u64::MAX;
-        for e in std::mem::take(&mut self.overflow) {
-            self.route(e);
-        }
-    }
-
-    /// Move every overflow event with `time < active_end` into the
-    /// active heap, recomputing the watermark for the rest.
-    fn drain_overflow_into_active(&mut self) {
-        let bound = self.active_end;
-        let mut min = u64::MAX;
-        let mut i = 0;
-        while i < self.overflow.len() {
-            if self.overflow[i].time < bound {
-                self.active.push(self.overflow.swap_remove(i));
-            } else {
-                min = min.min(self.overflow[i].time);
-                i += 1;
-            }
-        }
-        self.overflow_min = min;
+        self.heap.pop().map(|e| (e.time, e.item))
     }
 }
 

@@ -207,40 +207,52 @@ struct Task {
     carried: bool,
     est: u64,
     footprint: Footprint,
-    #[allow(dead_code)]
-    label: &'static str,
     latch: LatchRef,
     body: TaskBody,
 }
 
+/// Slots per [`TaskArena`] chunk (about 88 KiB of tasks).
+const ARENA_CHUNK: usize = 1024;
+
 /// Slab arena of in-flight tasks. Slots are recycled through a LIFO
 /// free list the moment a task starts executing, so the live slot
 /// count tracks the number of *queued* tasks, not tasks ever spawned.
+///
+/// Slots sit in fixed-size chunks that are never reallocated. A single
+/// doubling buffer would need, at each growth, a free block twice its
+/// size; whether glibc finds one depends on the holes earlier runs in
+/// the process left, which makes peak RSS differ by megabytes from one
+/// run to the next.
 #[derive(Default)]
 struct TaskArena {
-    slots: Vec<Option<Task>>,
+    chunks: Vec<Vec<Option<Task>>>,
     free: Vec<TaskRef>,
 }
 
 impl TaskArena {
     fn alloc(&mut self, task: Task) -> TaskRef {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(task);
-                i
-            }
-            None => {
-                self.slots.push(Some(task));
-                (self.slots.len() - 1) as TaskRef
-            }
+        if let Some(r) = self.free.pop() {
+            *self.slot_mut(r) = Some(task);
+            return r;
         }
+        if self.chunks.last().is_none_or(|c| c.len() == ARENA_CHUNK) {
+            self.chunks.push(Vec::with_capacity(ARENA_CHUNK));
+        }
+        let last = self.chunks.len() - 1;
+        self.chunks[last].push(Some(task));
+        (last * ARENA_CHUNK + self.chunks[last].len() - 1) as TaskRef
+    }
+
+    fn slot_mut(&mut self, r: TaskRef) -> &mut Option<Task> {
+        let i = r as usize;
+        &mut self.chunks[i / ARENA_CHUNK][i % ARENA_CHUNK]
     }
 
     /// Remove the task, recycling its slot immediately. A `TaskRef` is
     /// a unique handle (exactly one queue or event holds it), so the
     /// slot is provably occupied; the panic documents that invariant.
     fn take(&mut self, r: TaskRef) -> Task {
-        let Some(task) = self.slots[r as usize].take() else {
+        let Some(task) = self.slot_mut(r).take() else {
             panic!("task slot {r} already freed");
         };
         self.free.push(r);
@@ -248,14 +260,15 @@ impl TaskArena {
     }
 
     fn get(&self, r: TaskRef) -> &Task {
-        match self.slots[r as usize].as_ref() {
+        let i = r as usize;
+        match &self.chunks[i / ARENA_CHUNK][i % ARENA_CHUNK] {
             Some(task) => task,
             None => panic!("task slot {r} already freed"),
         }
     }
 
     fn get_mut(&mut self, r: TaskRef) -> &mut Task {
-        match self.slots[r as usize].as_mut() {
+        match self.slot_mut(r) {
             Some(task) => task,
             None => panic!("task slot {r} already freed"),
         }
@@ -846,7 +859,6 @@ impl<'p> Engine<'p> {
             carried: false,
             est: spec.est_cost_ns,
             footprint: spec.footprint,
-            label: spec.label,
             latch,
             body: spec.body,
         })

@@ -1,7 +1,7 @@
 //! Property tests: [`CalendarQueue`] pops in exactly the `(time, push
 //! order)` sequence of a single binary heap — including tie-breaks —
-//! over seeded random event streams, so swapping it into the engine
-//! cannot reorder a single event.
+//! over seeded random event streams, so the engine's event schedule
+//! cannot change under it.
 
 use distws_core::rng::SplitMix64;
 use distws_sim::calendar::CalendarQueue;
@@ -9,8 +9,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Reference model: a max-heap of `Reverse((time, seq))` with the same
-/// pre-increment seq assignment the engine's old `BinaryHeap<Event>`
-/// used.
+/// pre-increment seq assignment, written independently of the queue.
 #[derive(Default)]
 struct RefQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
@@ -31,7 +30,7 @@ impl RefQueue {
 /// Drive both queues through an identical randomized push/pop script
 /// and assert every pop matches. `monotone` restricts pushes to the
 /// DES invariant (never below the last popped time); the free-form
-/// variant also exercises pushes below the active window.
+/// variant also pushes below it.
 fn equivalence_run(seed: u64, ops: usize, monotone: bool) {
     let mut rng = SplitMix64::new(seed);
     let mut cal = CalendarQueue::new();
@@ -40,13 +39,13 @@ fn equivalence_run(seed: u64, ops: usize, monotone: bool) {
     let mut item = 0u64;
     for _ in 0..ops {
         // Bias towards pushes so the queues carry real depth, with
-        // occasional drain bursts to force window advances/rebuckets.
+        // occasional drain bursts that pop long runs in a row.
         match rng.below(10) {
             0..=5 => {
                 let spread = match rng.below(3) {
                     0 => 1_000,          // dense ties
                     1 => 1_000_000,      // typical event horizon
-                    _ => 50_000_000_000, // far-future (overflow bin)
+                    _ => 50_000_000_000, // far-future (fault-kill horizon)
                 };
                 let base = if monotone { last_pop } else { 0 };
                 let t = base + rng.below(spread);
@@ -102,27 +101,20 @@ fn matches_binary_heap_on_free_form_streams() {
     }
 }
 
-/// Directed regression for the `overflow_min` watermark: a window
-/// advance that reaches a far-future event parked in the overflow bin
-/// must fold it back into the active heap *before* popping any later
-/// ring bucket. Without the fold-back check in the advance loop, the
-/// ring would march straight past the parked event and pop 10_001
-/// before 10_000.
+/// Directed regression: an event pushed far ahead of a long near-term
+/// stream must still pop in its place once the stream reaches it: never
+/// 10_001 before 10_000.
 #[test]
 fn window_advance_folds_back_overflow_parked_events() {
     let mut cal = CalendarQueue::new();
-    // Seed the adaptive sizing: two events spanning 2 ns rebucket on
-    // the first pop to width = 1, leaving active_end = 3 after both
-    // pops. The 512-bucket ring then covers [3, 515).
+    // Two events 2 ns apart set a fine time scale before the stream.
     cal.push(0, 100);
     cal.push(2, 101);
     assert_eq!(cal.pop(), Some((0, 100)));
     assert_eq!(cal.pop(), Some((2, 101)));
-    // Beyond the ring horizon: parks in the overflow bin, recorded
-    // only by the `overflow_min = 10_000` watermark.
+    // Far ahead of every event queued so far.
     cal.push(10_000, 500);
-    // Near-term stream, each push inside the ring horizon: walks the
-    // window up to active_end = 9_501 without ever touching overflow.
+    // Near-term stream up to 9_500, each event popped as it is pushed.
     let mut t = 500;
     while t <= 9_500 {
         cal.push(t, t);
@@ -130,10 +122,8 @@ fn window_advance_folds_back_overflow_parked_events() {
         t += 500;
     }
     assert_eq!(cal.len(), 1, "parked event still queued");
-    // Straddle the parked time. Popping 9_999 stops the window at
-    // exactly active_end = 10_000 (watermark not yet reached); the
-    // next advance crosses it and must fold 10_000 back in ahead of
-    // the 10_001 bucket.
+    // Straddle the parked time: 10_000 must pop between its
+    // neighbours pushed last.
     cal.push(9_999, 600);
     cal.push(10_001, 601);
     assert_eq!(cal.pop(), Some((9_999, 600)));
@@ -149,8 +139,8 @@ fn window_advance_folds_back_overflow_parked_events() {
 
 #[test]
 fn tie_storms_pop_in_push_order() {
-    // Many events on few distinct times: the intra-bucket tie-break
-    // must reproduce push order exactly.
+    // Many events on few distinct times: the tie-break must
+    // reproduce push order exactly.
     let mut rng = SplitMix64::new(7);
     let mut cal = CalendarQueue::new();
     let mut reference = RefQueue::default();
