@@ -1,19 +1,16 @@
 //! # distws-analyze
 //!
-//! The correctness-tooling layer: three std-only analysis passes that
-//! turn the reproduction's implicit invariants (seeded-RNG
-//! discipline, deterministic output ordering, a sound Chase–Lev
-//! deque, causally-ordered traces) into machine-checked ones.
+//! The correctness-tooling layer: std-only analysis passes that turn
+//! the reproduction's implicit invariants (seeded-RNG discipline,
+//! deterministic output ordering, causally-ordered traces, a sound
+//! Algorithm 1) into machine-checked ones. The deques are checked
+//! where they live: `distws-deque`'s tests run the shipped Chase–Lev
+//! and shared-FIFO code under a preemption-bounded schedule explorer.
 //!
 //! * [`lint`] — a token-level determinism lint over the workspace's
 //!   `src/` trees (string/comment-aware hand-rolled lexer, seven
 //!   rules, per-file `// distws-lint: allow(rule)` pragmas). Surface:
 //!   `repro lint`.
-//! * [`interleave`] — a bounded-DFS schedule explorer ("mini-loom")
-//!   that re-states the Chase–Lev deque and the shared FIFO as step
-//!   machines and exhaustively checks every interleaving of small
-//!   push/pop/steal scenarios for lost tasks, double-takes and
-//!   use-after-grow. Surface: `repro check interleave`.
 //! * [`hb`] — a vector-clock happens-before validator over
 //!   `distws-trace` JSONL runs: spawn ≺ execution, migration ≺ remote
 //!   execution, execution ≺ finish-latch release, exactly-once per
@@ -38,7 +35,7 @@
 //!   `repro check mutants`.
 //! * [`reduce`] — the shared memoized-DFS exploration engine with
 //!   ample-set partial-order reduction (visited-proviso cycle guard),
-//!   used by both [`protocol`] and [`interleave`].
+//!   used by [`protocol`].
 //! * [`canon`] — symmetry canonicalization (place/task orbit
 //!   representatives) and compact bit-packed state keys for the
 //!   protocol model's reduced mode.
@@ -60,7 +57,6 @@
 pub mod canon;
 pub mod conform;
 pub mod hb;
-pub mod interleave;
 pub mod lexer;
 pub mod lint;
 pub mod liveness;
@@ -70,9 +66,6 @@ pub mod tla;
 
 pub use conform::{conform_lines, conform_str, ConformConfig, ConformReport, ConformViolation};
 pub use hb::{validate_lines, validate_str, HbReport, HbViolation};
-pub use interleave::{
-    builtin_scenarios, check_all, explore, explore_fifo, fifo_scenario, Outcome, Scenario,
-};
 pub use lint::{lint_source, lint_workspace, Rule, Violation};
 pub use liveness::{check_liveness, Lasso, LivenessReport, Property};
 pub use protocol::{
@@ -80,5 +73,5 @@ pub use protocol::{
     explore_protocol, explore_protocol_mode, scenario_by_name, Era, ModelFaults, ModelTask,
     MutantCheck, ProtocolMutant, ProtocolScenario,
 };
-pub use reduce::{ExploreStats, Mode};
+pub use reduce::{ExploreStats, Mode, Outcome};
 pub use tla::export_tla;

@@ -1,9 +1,9 @@
 //! Explicit-state model checking of Algorithm 1's distributed
 //! work-stealing protocol.
 //!
-//! Where `crate::interleave` proves the *primitives* (Chase–Lev deque,
-//! shared FIFO) safe under arbitrary thread interleavings, this module
-//! checks the *protocol built on them*: the paper's §V Algorithm 1 —
+//! Where `distws-deque`'s explorer tests check the *primitives*
+//! (Chase–Lev deque, shared FIFO) under preemption-bounded thread
+//! interleavings, this module checks the *protocol built on them*: the paper's §V Algorithm 1 —
 //! task mapping, the five-tier steal order with the line 19 re-probe,
 //! chunk sizes, migration of flexible tasks, and finish-latch
 //! termination — plus the fault transitions of the fault-injection

@@ -1,6 +1,5 @@
-//! The shared exploration engine: memoized DFS with optional
-//! partial-order reduction, used by both model checkers
-//! ([`crate::protocol`] and [`crate::interleave`]).
+//! The exploration engine: memoized DFS with optional partial-order
+//! reduction, used by the protocol model checker ([`crate::protocol`]).
 //!
 //! A model implements [`System`]: an initial state, a successor
 //! generator that records property violations as it fires transitions,
@@ -90,8 +89,8 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
-/// Result of exploring one scenario. (Re-exported as
-/// `distws_analyze::Outcome`; kept here so both checkers share it.)
+/// Result of exploring one scenario (re-exported as
+/// `distws_analyze::Outcome`).
 #[derive(Debug, Clone)]
 pub struct Outcome {
     /// Distinct global states visited (after canonicalization).

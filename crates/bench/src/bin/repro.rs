@@ -9,7 +9,7 @@
 //! repro bench [--suite quick|full|scale] [--seed S] [--out FILE]
 //! repro bench --check FILE
 //! repro lint [ROOT]
-//! repro check [interleave | protocol | liveness | mutants | hb FILE.jsonl] [--scenario NAME] [--list]
+//! repro check protocol | liveness | mutants | tla | hb FILE.jsonl [--scenario NAME] [--list]
 //! repro check protocol [--scenario NAME] [--full] [--compare] [--json]
 //! repro check liveness [--scenario NAME] [--full] [--compare] [--json]
 //! repro check tla [--scenario NAME] [--out FILE]
@@ -45,8 +45,7 @@
 //!
 //! `repro lint` runs the determinism lint over the workspace (or a
 //! given root) and exits nonzero with `file:line` diagnostics on any
-//! violation. `repro check` runs the bounded Chase-Lev/FIFO
-//! interleaving checker (`interleave`), the Algorithm 1 protocol
+//! violation. `repro check` runs the Algorithm 1 protocol
 //! model checker (`protocol` — reduced by default, `--full` for the
 //! unreduced exploration, `--full --compare` for the reduced/full
 //! cross-validation), the protocol-mutation smoke test (`mutants`;
@@ -204,7 +203,10 @@ fn main() {
         }
         let json = json_dir.is_some();
         match positional.get(1).map(String::as_str) {
-            None | Some("interleave") => run_check_interleave(scenario.as_deref()),
+            None => {
+                eprintln!("usage: {CHECK_USAGE}");
+                std::process::exit(2);
+            }
             Some("protocol") => run_check_protocol(scenario.as_deref(), full, compare, json),
             Some("liveness") => run_check_liveness(scenario.as_deref(), full, compare, json),
             Some("mutants") => run_check_mutants(),
@@ -218,7 +220,7 @@ fn main() {
             }
             Some(other) => {
                 eprintln!(
-                    "unknown check '{other}' (expected: interleave, protocol, liveness, mutants, tla, hb FILE.jsonl)"
+                    "unknown check '{other}' (expected: protocol, liveness, mutants, tla, hb FILE.jsonl)"
                 );
                 std::process::exit(2);
             }
@@ -356,13 +358,14 @@ fn main() {
             "or: repro bench [--suite quick|full|scale] [--seed S] [--out FILE] | repro bench --check FILE"
         );
         eprintln!("or: repro lint [ROOT]");
-        eprintln!(
-            "or: repro check [interleave | protocol | liveness | mutants | tla | hb FILE.jsonl] [--scenario NAME] [--list] [--full] [--compare] [--json] [--out FILE]"
-        );
+        eprintln!("or: {CHECK_USAGE}");
         eprintln!("or: repro conform FILE.jsonl [--policy NAME]");
         std::process::exit(2);
     }
 }
+
+/// The `repro check` usage line.
+const CHECK_USAGE: &str = "repro check protocol | liveness | mutants | tla | hb FILE.jsonl [--scenario NAME] [--list] [--full] [--compare] [--json] [--out FILE]";
 
 /// `--seed` accepts decimal or `0x` hex.
 fn parse_seed(s: &str) -> Option<u64> {
@@ -449,11 +452,6 @@ fn run_lint(root: Option<&str>) {
 
 /// `repro check --list` — enumerate every builtin checker scenario.
 fn run_check_list() {
-    println!("interleave scenarios (repro check interleave --scenario NAME):");
-    for s in distws_analyze::builtin_scenarios() {
-        println!("  {}", s.name);
-    }
-    println!("  shared_fifo");
     println!(
         "protocol scenarios (repro check protocol|liveness --scenario NAME; also repro check tla):"
     );
@@ -494,64 +492,6 @@ fn run_check_list() {
             m.catch_scenario()
         );
     }
-}
-
-/// Print one checker results table and exit nonzero on violations.
-fn print_outcomes(results: &[(&str, distws_analyze::Outcome)], what: &str) {
-    println!(
-        "{:<22} {:>10} {:>10} {:>11}",
-        "scenario", "states", "terminals", "violations"
-    );
-    let mut failed = false;
-    for (name, out) in results {
-        println!(
-            "{:<22} {:>10} {:>10} {:>11}",
-            name,
-            out.states,
-            out.terminals,
-            out.violations.len()
-        );
-        for v in &out.violations {
-            eprintln!("  {name}: {v}");
-            failed = true;
-        }
-    }
-    if failed {
-        eprintln!("repro check: {what} violations found");
-        std::process::exit(1);
-    }
-}
-
-/// `repro check [interleave]` — bounded-DFS interleaving checker over
-/// the Chase-Lev deque and shared-FIFO models.
-fn run_check_interleave(scenario: Option<&str>) {
-    hr("Bounded interleaving check — Chase-Lev deque + shared FIFO models");
-    let mut results: Vec<(&str, distws_analyze::Outcome)> = Vec::new();
-    match scenario {
-        Some("shared_fifo") => results.push((
-            "shared_fifo",
-            distws_analyze::explore_fifo(&distws_analyze::fifo_scenario()),
-        )),
-        Some(name) => {
-            let Some(sc) = distws_analyze::builtin_scenarios()
-                .into_iter()
-                .find(|s| s.name == name)
-            else {
-                eprintln!("unknown interleave scenario '{name}' (see repro check --list)");
-                std::process::exit(2);
-            };
-            results.push((sc.name, distws_analyze::explore(&sc)));
-        }
-        None => {
-            results = distws_analyze::check_all();
-            results.push((
-                "shared_fifo",
-                distws_analyze::explore_fifo(&distws_analyze::fifo_scenario()),
-            ));
-        }
-    }
-    print_outcomes(&results, "interleaving");
-    println!("(no lost task, no double-take, no use-after-grow on any explored schedule)");
 }
 
 /// State cap for `--full` runs of the scale scenarios (the ones whose
@@ -1397,14 +1337,15 @@ fn run_trace(app_name: &str, scale: Scale, policy_name: &str, seed: Option<u64>,
     // The JSONL stream goes straight to disk through the buffered sink
     // as the simulation runs, so a large trace never sits in memory
     // twice.
-    std::fs::create_dir_all(dir).expect("create trace dir");
+    written(std::fs::create_dir_all(dir), dir);
     let slug = app.name().to_ascii_lowercase().replace(' ', "_");
     let trace_path = format!("{dir}/{slug}.trace.jsonl");
     let mut sink = TeeSink {
         events: Vec::new(),
-        file: distws_trace::BufferedJsonlSink::new(
-            std::fs::File::create(&trace_path).expect("create trace file"),
-        ),
+        file: distws_trace::BufferedJsonlSink::new(written(
+            std::fs::File::create(&trace_path),
+            &trace_path,
+        )),
     };
     let app = bench::app_by_name(app_name, scale).unwrap();
     let (report, series) =
@@ -1436,14 +1377,14 @@ fn run_trace(app_name: &str, scale: Scale, policy_name: &str, seed: Option<u64>,
 
     let jsonl = sink.jsonl();
     let TeeSink { events, file } = sink;
-    file.into_inner().expect("flush trace file");
+    written(file.into_inner(), &trace_path);
     eprintln!("wrote {trace_path}");
     let write = |suffix: &str, body: &str| {
         let path = format!("{dir}/{slug}.{suffix}");
-        let mut f = std::fs::File::create(&path).expect("create trace file");
-        f.write_all(body.as_bytes()).expect("write trace file");
+        let mut f = written(std::fs::File::create(&path), &path);
+        written(f.write_all(body.as_bytes()), &path);
         if !body.ends_with('\n') {
-            f.write_all(b"\n").expect("write trace file");
+            written(f.write_all(b"\n"), &path);
         }
         eprintln!("wrote {path}");
     };
@@ -1495,12 +1436,24 @@ fn print_percentiles(report: &distws_core::RunReport) {
     }
 }
 
+/// The value of an output-file operation, or `repro: cannot write
+/// PATH: ERR` and exit 2.
+fn written<T>(result: std::io::Result<T>, path: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("repro: cannot write {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn write_json<T: distws_json::ToJson>(dir: &str, name: &str, rows: &T) {
-    std::fs::create_dir_all(dir).expect("create json dir");
+    written(std::fs::create_dir_all(dir), dir);
     let path = format!("{dir}/{name}.json");
     // write_json_file guarantees exactly one trailing newline, so a
     // regenerated file is byte-identical to the committed one.
-    distws_json::write_json_file(std::path::Path::new(&path), rows).expect("write json");
+    written(
+        distws_json::write_json_file(std::path::Path::new(&path), rows),
+        &path,
+    );
     eprintln!("wrote {path}");
 }
 
@@ -1519,8 +1472,10 @@ fn run_bench(suite: perf::BenchSuite, seed: u64, out: Option<&str>) {
     });
     print!("{}", perf::render_bench_table(&report));
     let out_path = out.map_or_else(|| suite.default_out(), str::to_string);
-    distws_json::write_json_file(std::path::Path::new(&out_path), &report)
-        .expect("write bench json");
+    written(
+        distws_json::write_json_file(std::path::Path::new(&out_path), &report),
+        &out_path,
+    );
     eprintln!("wrote {out_path}");
 }
 

@@ -1,0 +1,41 @@
+//! `repro` CLI edges: an unwritable output path and a missing or unknown
+//! check are usage errors (exit 2), never a panic.
+
+use std::process::Command;
+
+/// Run `repro` with whitespace-separated `args`, assert a clean exit 2,
+/// and return its stderr.
+fn repro(args: &str) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args}: {stderr}");
+    stderr
+}
+
+#[test]
+fn unwritable_output_path_exits_2() {
+    // A path under a regular file can never be created.
+    let bad = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    for cmd in ["trace quicksort", "chaos quicksort --faults drop=0.01"] {
+        let stderr = repro(&format!("{cmd} --scale quick --json {bad}"));
+        let want = format!("repro: cannot write {bad}");
+        assert!(stderr.contains(&want), "{stderr}");
+    }
+}
+
+#[test]
+fn bare_check_prints_usage() {
+    let stderr = repro("check");
+    let want = "usage: repro check protocol | liveness | mutants | tla | hb";
+    assert!(stderr.contains(want), "{stderr}");
+}
+
+#[test]
+fn interleave_is_an_unknown_check() {
+    let stderr = repro("check interleave");
+    assert!(stderr.contains("unknown check 'interleave'"), "{stderr}");
+}

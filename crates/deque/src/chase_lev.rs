@@ -16,10 +16,10 @@
 //! times per run (capacity doubles), so the retired list stays tiny —
 //! this trades a few kilobytes for zero read-side synchronization.
 
+use crate::sync::{fence, yield_point, AtomicIsize, AtomicPtr, Mutex, Ordering};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Result of a steal attempt.
 #[derive(Debug, PartialEq, Eq)]
@@ -64,12 +64,14 @@ impl<T> Buffer<T> {
 
     #[inline]
     unsafe fn read(&self, index: isize) -> T {
+        yield_point();
         let slot = &self.slots[(index as usize) & (self.cap - 1)];
         (*slot.get()).assume_init_read()
     }
 
     #[inline]
     unsafe fn write(&self, index: isize, value: T) {
+        yield_point();
         let slot = &self.slots[(index as usize) & (self.cap - 1)];
         (*slot.get()).write(value);
     }
@@ -142,10 +144,16 @@ impl<T> Clone for Stealer<T> {
 /// Create a new deque, returning the unique owner handle and a
 /// cloneable stealer handle.
 pub fn deque<T: Send>() -> (Worker<T>, Stealer<T>) {
+    with_capacity(64)
+}
+
+/// A deque whose buffer starts at `cap` slots (a power of two); the
+/// tests start small to reach the grow path.
+fn with_capacity<T: Send>(cap: usize) -> (Worker<T>, Stealer<T>) {
     let inner = Arc::new(Inner {
         top: AtomicIsize::new(0),
         bottom: AtomicIsize::new(0),
-        buffer: AtomicPtr::new(Box::into_raw(Buffer::new(64))),
+        buffer: AtomicPtr::new(Box::into_raw(Buffer::new(cap))),
         retired: Mutex::new(Vec::new()),
     });
     (
@@ -247,9 +255,7 @@ impl<T: Send> Worker<T> {
             // Bitwise move: ownership transfers to the new buffer; the
             // old slots are never read again by the owner (thieves that
             // raced will CAS-fail on `top`).
-            let slot = &old.slots[(i as usize) & (old.cap - 1)];
-            let v = (*slot.get()).assume_init_read();
-            new.write(i, v);
+            new.write(i, old.read(i));
             i += 1;
         }
         let new_ptr = Box::into_raw(new);
@@ -319,8 +325,9 @@ impl<T: Send> Stealer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, Body};
     use std::collections::HashSet;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     #[test]
     fn lifo_for_owner() {
@@ -436,5 +443,214 @@ mod tests {
             }
         }
         assert_eq!(total, ITEMS, "items lost: saw {total} of {ITEMS}");
+    }
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Push,
+        Pop,
+    }
+    use Op::{Pop, Push};
+
+    /// A seeded bug, run from a test-only copy of the code it breaks.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Mutant {
+        None,
+        StealStoresTop,
+        PopStoresTop,
+        GrowSkipsOldest,
+    }
+
+    /// `Stealer::steal`, but claiming index `t` with a plain store of
+    /// `top`: two thieves can both take it.
+    fn steal_storing_top(s: &Stealer<u64>) -> Steal<u64> {
+        let inner = &*s.inner;
+        let t = inner.top.load(Ordering::Acquire);
+        fence(Ordering::SeqCst);
+        let b = inner.bottom.load(Ordering::Acquire);
+        if t >= b {
+            return Steal::Empty;
+        }
+        let buf_ptr = inner.buffer.load(Ordering::Acquire);
+        // SAFETY: as in `Stealer::steal`. A `u64` taken twice is a
+        // copy, never a double drop.
+        let value = unsafe { (*buf_ptr).read(t) };
+        inner.top.store(t + 1, Ordering::SeqCst);
+        Steal::Success(value)
+    }
+
+    /// `Worker::pop`, but taking the last item with a plain store of
+    /// `top` instead of racing the thieves for it.
+    fn pop_storing_top(w: &Worker<u64>) -> Option<u64> {
+        let inner = &*w.inner;
+        let b = inner.bottom.load(Ordering::Relaxed) - 1;
+        let buf_ptr = inner.buffer.load(Ordering::Relaxed);
+        inner.bottom.store(b, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let t = inner.top.load(Ordering::Relaxed);
+        if t > b {
+            inner.bottom.store(b + 1, Ordering::Relaxed);
+            return None;
+        }
+        // SAFETY: as in `Worker::pop`. A `u64` taken twice is a copy,
+        // never a double drop.
+        let value = unsafe { (*buf_ptr).read(b) };
+        if t == b {
+            inner.top.store(t + 1, Ordering::SeqCst);
+            inner.bottom.store(b + 1, Ordering::Relaxed);
+        }
+        Some(value)
+    }
+
+    /// `Worker::push`, but growing by copying `t+1..b`: the oldest item
+    /// is lost and its slot in the new buffer is never written.
+    fn push_growing_from_t_plus_1(w: &Worker<u64>, value: u64) {
+        let inner = &*w.inner;
+        let b = inner.bottom.load(Ordering::Relaxed);
+        let t = inner.top.load(Ordering::Acquire);
+        let mut buf_ptr = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: none, on purpose: slot `t` of the grown buffer stays
+        // uninitialized and a later `read` of it is undefined behaviour.
+        // This copy exists only to be caught; its tests are not run
+        // under miri.
+        unsafe {
+            if b - t >= (*buf_ptr).cap as isize {
+                buf_ptr = w.grow(buf_ptr, t + 1, b);
+            }
+            (*buf_ptr).write(b, value);
+        }
+        fence(Ordering::Release);
+        inner.bottom.store(b + 1, Ordering::Relaxed);
+    }
+
+    /// The number of schedules explored, or the first failure.
+    type Explored = Result<usize, String>;
+
+    /// Values are fresh per schedule, so a stale slot left by an earlier
+    /// schedule cannot pass for a value pushed in this one.
+    static NEXT_VALUE: AtomicU64 = AtomicU64::new(1);
+
+    /// Explore an owner running `owner` on a deque of capacity `cap`
+    /// that already holds `pre` items, against one thief per entry of
+    /// `thieves`, each making that many steal attempts. Every value
+    /// pushed must be taken exactly once: by the owner, by a thief or
+    /// by the final drain.
+    fn scenario(
+        cap: usize,
+        pre: usize,
+        owner: &'static [Op],
+        thieves: &'static [usize],
+        m: Mutant,
+    ) -> Explored {
+        let push = move |w: &Worker<u64>, v| match m {
+            Mutant::GrowSkipsOldest => push_growing_from_t_plus_1(w, v),
+            _ => w.push(v),
+        };
+        let pushes = pre + owner.iter().filter(|op| matches!(op, Push)).count();
+        explore(|| {
+            let (w, s) = with_capacity::<u64>(cap);
+            let base = NEXT_VALUE.fetch_add(pushes as u64, Ordering::Relaxed);
+            let mut values = base..;
+            values.by_ref().take(pre).for_each(|v| push(&w, v));
+            let mut bodies: Vec<Body<Vec<u64>>> = vec![Box::new(move || {
+                let mut got = Vec::new();
+                for op in owner {
+                    match (op, m) {
+                        (Push, _) => push(&w, values.next().unwrap()),
+                        (Pop, Mutant::PopStoresTop) => got.extend(pop_storing_top(&w)),
+                        (Pop, _) => got.extend(w.pop()),
+                    }
+                }
+                got
+            })];
+            for &attempts in thieves {
+                let s = s.clone();
+                bodies.push(Box::new(move || {
+                    (0..attempts)
+                        .filter_map(|_| match m {
+                            Mutant::StealStoresTop => steal_storing_top(&s).success(),
+                            _ => s.steal().success(),
+                        })
+                        .collect()
+                }));
+            }
+            (bodies, move |got: Vec<Vec<u64>>| {
+                let mut got = got.concat();
+                got.extend(std::iter::from_fn(|| s.steal().success()));
+                got.sort_unstable();
+                let want: Vec<u64> = (base..base + pushes as u64).collect();
+                if got == want {
+                    Ok(())
+                } else {
+                    Err(format!("took {got:?}, pushed {want:?}"))
+                }
+            })
+        })
+    }
+
+    /// Explore the named scenario with mutant `m`.
+    fn explore_named(name: &str, m: Mutant) -> Explored {
+        match name {
+            // The owner pops the one item a thief is stealing.
+            "last_item_race" => scenario(2, 1, &[Pop], &[1], m),
+            // The owner and two thieves chase one item.
+            "two_thieves_one_item" => scenario(2, 0, &[Push, Pop], &[1, 1], m),
+            // LIFO pops against FIFO steals over two items.
+            "lifo_vs_fifo" => scenario(2, 0, &[Push, Push, Pop, Pop], &[2], m),
+            // Growth (capacity 1 → 2 → 4) while a thief reads the old buffer.
+            "grow_under_steal" => scenario(1, 0, &[Push, Push, Push], &[2], m),
+            // Growth, then the owner and two thieves drain.
+            "grow_then_drain" => scenario(1, 0, &[Push, Push, Pop, Pop], &[1, 1], m),
+            // Three thieves compete for two items.
+            "cas_storm" => scenario(2, 0, &[Push, Push], &[1, 1, 1], m),
+            _ => unreachable!("no scenario {name}"),
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn real_deque_is_clean_in_every_scenario() {
+        for name in [
+            "last_item_race",
+            "two_thieves_one_item",
+            "lifo_vs_fifo",
+            "grow_under_steal",
+            "grow_then_drain",
+            "cas_storm",
+        ] {
+            let schedules =
+                explore_named(name, Mutant::None).unwrap_or_else(|e| panic!("{name}: {e}"));
+            println!("{name}: {schedules} schedules");
+            assert!(schedules > 10, "{name}: only {schedules} schedules");
+        }
+    }
+
+    /// The mutant must fail the named scenario; the failing schedule is
+    /// printed.
+    fn assert_caught(name: &str, m: Mutant) {
+        let err = explore_named(name, m).expect_err(name);
+        println!("{name}: {err}");
+        assert!(
+            err.contains("took") && err.contains("thread order"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn steal_without_cas_is_caught() {
+        assert_caught("two_thieves_one_item", Mutant::StealStoresTop);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn pop_skipping_last_item_race_is_caught() {
+        assert_caught("last_item_race", Mutant::PopStoresTop);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn grow_dropping_oldest_is_caught() {
+        assert_caught("grow_under_steal", Mutant::GrowSkipsOldest);
     }
 }

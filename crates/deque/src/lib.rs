@@ -21,10 +21,20 @@
 //!   (paper: remote steals take chunks of 2), used per place.
 //! * [`seq`] — single-threaded deques with identical semantics for the
 //!   deterministic discrete-event simulator.
+//!
+//! [`chase_lev`] and [`shared_fifo`] take their atomics and `Mutex`
+//! from a private `sync` module. Normal builds re-export `std`; test
+//! builds swap in a schedule explorer's wrappers (`explore`, test-only),
+//! so the unit tests run the shipped code through every schedule of
+//! small push/pop/steal scenarios with at most two preemptions, and
+//! catch seeded mutants of it.
 
 pub mod chase_lev;
+#[cfg(test)]
+mod explore;
 pub mod seq;
 pub mod shared_fifo;
+mod sync;
 
 pub use chase_lev::{deque, Steal, Stealer, Worker};
 pub use seq::{SeqPrivateDeque, SeqSharedFifo};

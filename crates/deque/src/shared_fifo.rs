@@ -11,9 +11,8 @@
 //! only after their private deque, the network probe, and co-located
 //! private steals all came up empty (Algorithm 1 lines 9–21).
 
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Thread-safe FIFO deque shared by all workers of a place and exposed
 /// to remote thieves.
@@ -100,6 +99,7 @@ impl<T> SharedFifo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, Body};
     use std::sync::Arc;
 
     #[test]
@@ -187,5 +187,44 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, (0..2 * PER).collect::<Vec<_>>());
+    }
+
+    /// One producer, a local `take` consumer and a remote chunk-of-two
+    /// thief. Each take is logged before the next yield point, so the
+    /// log is in linearization order: FIFO and exactly-once together
+    /// say it is the push order.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn fifo_is_clean_and_ordered_on_every_schedule() {
+        let schedules = explore(|| {
+            let q = Arc::new(SharedFifo::new());
+            let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let consumer = |take: fn(&SharedFifo<u32>) -> Vec<u32>| {
+                let (q, log) = (Arc::clone(&q), Arc::clone(&log));
+                Box::new(move || {
+                    for _ in 0..2 {
+                        let got = take(&q);
+                        log.lock().unwrap().extend(got);
+                    }
+                }) as Body<()>
+            };
+            let producer = Arc::clone(&q);
+            let bodies = vec![
+                Box::new(move || (1..=4).for_each(|v| producer.push(v))),
+                consumer(|q| q.take().into_iter().collect()),
+                consumer(|q| q.take_chunk(2)),
+            ];
+            (bodies, move |_| {
+                let mut log = log.lock().unwrap().clone();
+                let (taken, len, takes) = (log.len(), q.len(), q.takes());
+                log.extend(std::iter::from_fn(|| q.take()));
+                let counts = (len, takes, q.pushes()) == (4 - taken, taken as u64, 4);
+                (log == [1, 2, 3, 4] && counts)
+                    .then_some(())
+                    .ok_or(format!("took {log:?}; len {len}, takes {takes}"))
+            })
+        })
+        .unwrap_or_else(|e| panic!("shared_fifo: {e}"));
+        println!("shared_fifo: {schedules} schedules");
     }
 }
