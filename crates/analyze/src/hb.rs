@@ -190,8 +190,11 @@ pub fn validate_lines<'a>(lines: impl Iterator<Item = &'a str>) -> HbReport {
         // `message` can be *place-level* actions (a lifeline push has
         // no thief worker yet) attributed to a representative worker
         // whose own timeline may already hold future-stamped events
-        // from a synchronous steal sequence, so they are exempt.
-        let own_timeline = !matches!(ev, "migration" | "message");
+        // from a synchronous steal sequence, so they are exempt. So are
+        // `place_fail` and `task_recover`: the simulator stamps them at
+        // the kill instant on worker 0 of the dead place, which may have
+        // run ahead of that instant the same way.
+        let own_timeline = !matches!(ev, "migration" | "message" | "place_fail" | "task_recover");
         if own_timeline {
             if t_ns < worker_t[widx] {
                 violations.push(HbViolation {
@@ -489,6 +492,33 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.message.contains("time went backwards")));
+    }
+
+    #[test]
+    fn place_level_fault_events_may_trail_the_worker_clock() {
+        // Worker 2 has already stepped to 450 ns when its place is
+        // killed at 410 ns; the kill and the recovery it triggers are
+        // stamped on worker 2 at the kill instant.
+        let recover = {
+            let mut o = Value::object();
+            o.set("t", 410u64);
+            o.set("w", 2u32);
+            o.set("p", 1u32);
+            o.set("ev", "task_recover");
+            o.set("task", 7u64);
+            o.set("from", 1u32);
+            o.set("to", 0u32);
+            o.render()
+        };
+        let trace = [
+            line(450, 2, 1, "steal_attempt", None),
+            line(410, 2, 1, "place_fail", None),
+            recover,
+        ]
+        .join("\n");
+        let r = validate_str(&trace);
+        assert!(r.ok(), "{:?}", r.violations);
+        assert_eq!(r.events, 3);
     }
 
     #[test]

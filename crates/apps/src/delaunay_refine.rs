@@ -56,8 +56,6 @@ pub struct DelaunayRefine {
 
 struct RunState {
     meshes: Vec<Arc<Mutex<Triangulation>>>,
-    #[allow(dead_code)]
-    initial_bad: usize,
     min_angle: f64,
     r_min: f64,
 }
@@ -180,15 +178,10 @@ impl Workload for DelaunayRefine {
 
     fn roots(&self, cfg: &ClusterConfig) -> Vec<TaskSpec> {
         let seeds = self.build_seed();
-        let initial_bad: usize = seeds
-            .iter()
-            .map(|m| m.bad_triangles(self.min_angle, self.r_min).len())
-            .sum();
         let meshes: Vec<Arc<Mutex<Triangulation>>> =
             seeds.into_iter().map(|m| Arc::new(Mutex::new(m))).collect();
         *self.state.lock().unwrap() = Some(RunState {
             meshes: meshes.clone(),
-            initial_bad,
             min_angle: self.min_angle,
             r_min: self.r_min,
         });

@@ -11,7 +11,7 @@ use distws_bench::policy_by_name;
 use distws_bench::scale::ScaleFanout;
 use distws_core::{ClusterConfig, StealCounts};
 use distws_metrics::{Counter, EngineMetrics};
-use distws_sim::{SimConfig, Simulation};
+use distws_sim::{FaultSpec, SimConfig, Simulation};
 use distws_trace::JsonlSink;
 
 /// What a run leaves behind, in the order the table below lists it.
@@ -32,21 +32,34 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn run(places: u32, wpp: u32, policy: &str) -> Schedule {
+    run_traced(places, wpp, policy, None).0
+}
+
+/// Run the fanout under `faults` (absolute times only) and also return
+/// the trace bytes.
+fn run_traced(places: u32, wpp: u32, policy: &str, faults: Option<&str>) -> (Schedule, Vec<u8>) {
     let app = ScaleFanout::new(20_000, 0);
     let mut cfg = SimConfig::new(ClusterConfig::new(places, wpp));
     cfg.seed = 0;
+    if let Some(spec) = faults {
+        cfg.faults = FaultSpec::parse(spec)
+            .expect("valid fault spec")
+            .resolve(0, 1.0, 0);
+    }
     let mut sim = Simulation::with_config(cfg, policy_by_name(policy).expect("known policy"));
     let mut sink = JsonlSink::new(Vec::new());
     let mut metrics = EngineMetrics::new();
     let (report, _) = sim.run_app_metered(&app, &mut sink, &mut metrics);
     assert_eq!(report.tasks_executed, 20_000);
-    Schedule {
+    let trace = sink.into_inner();
+    let schedule = Schedule {
         events: metrics.snapshot().counter(Counter::EventsProcessed),
         makespan_ns: report.makespan_ns,
         steals: report.steals,
         messages: report.messages.total(),
-        trace_fnv: fnv1a(&sink.into_inner()),
-    }
+        trace_fnv: fnv1a(&trace),
+    };
+    (schedule, trace)
 }
 
 #[test]
@@ -116,4 +129,41 @@ fn wide_and_ragged_schedules_match_the_recorded_ones() {
     for ((places, wpp, policy), want) in golden {
         assert_eq!(run(places, wpp, policy), want, "{policy} on {places}x{wpp}");
     }
+}
+
+/// The fault paths write keys no fault-free trace has (`"dropped"`,
+/// `"attempt"`, the place-level events); pin one such trace byte for
+/// byte as well. Recorded at the commit before the trace encoder wrote
+/// bytes directly instead of rendering a JSON value tree.
+#[test]
+fn faulty_schedule_matches_the_recorded_one() {
+    let (got, trace) = run_traced(
+        5,
+        24,
+        "DistWS",
+        Some("drop=0.05,dup=0.02,kill=3@800us,restart=3@1400us"),
+    );
+    let trace = String::from_utf8(trace).expect("ASCII trace");
+    for needle in [
+        r#""dropped":true"#,
+        r#""ev":"steal_timeout""#,
+        r#""ev":"place_fail""#,
+        r#""ev":"place_restart""#,
+        r#""ev":"task_recover""#,
+    ] {
+        assert!(trace.contains(needle), "no {needle} in the faulty trace");
+    }
+    let want = Schedule {
+        events: 43_254,
+        makespan_ns: 2_434_700,
+        steals: StealCounts {
+            local_private: 45,
+            local_shared: 19_106,
+            remote: 1_279,
+            failed_attempts: 968,
+        },
+        messages: 19_669,
+        trace_fnv: 368470932273383691,
+    };
+    assert_eq!(got, want);
 }

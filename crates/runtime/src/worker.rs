@@ -19,8 +19,6 @@ pub(crate) struct RtTask {
     pub home: PlaceId,
     pub locality: Locality,
     pub spec_est: u64,
-    #[allow(dead_code)]
-    pub label: &'static str,
     pub latch: Option<Arc<FinishLatch>>,
     pub body: TaskBody,
 }
@@ -33,7 +31,6 @@ impl RtTask {
             home: spec.home,
             locality: spec.locality,
             spec_est: spec.est_cost_ns,
-            label: spec.label,
             latch: spec.latch,
             body: spec.body,
         }

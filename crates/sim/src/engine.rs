@@ -906,7 +906,7 @@ impl<'p> Engine<'p> {
                 self.cfg.max_events
             );
             self.makespan = self.makespan.max(now);
-            if self.series.is_some() {
+            if self.series.as_ref().is_some_and(|s| s.due(now)) {
                 if self.metering {
                     self.metrics.phase_start(Phase::TraceEmission);
                 }

@@ -3,7 +3,8 @@
 //! Every event carries the virtual time it happened at, the worker
 //! that caused it and the place that worker belongs to; the payload
 //! describes what happened. The wire encoding (JSONL) is produced by
-//! [`TraceEvent::to_json`] and is deterministic: object keys are
+//! [`TraceEvent::write_jsonl`], byte for byte the rendering of
+//! [`TraceEvent::to_json`], and is deterministic: object keys are
 //! emitted in declaration order and floats never appear.
 
 use distws_core::{GlobalWorkerId, PlaceId, TaskId};
@@ -274,8 +275,102 @@ impl TraceEvent {
 
     /// One JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        self.to_json().render()
+        let mut line = Vec::with_capacity(128);
+        self.write_jsonl(&mut line);
+        String::from_utf8(line).expect("JSONL lines are ASCII")
     }
+
+    /// Append this event's JSONL line (no trailing newline) to `out`.
+    /// The bytes are exactly `to_json().render()`'s, written without
+    /// building a [`Value`]: fixed key literals, the static wire names
+    /// (which need no escaping) and a decimal integer writer.
+    pub fn write_jsonl(&self, out: &mut Vec<u8>) {
+        put_uint(out, b"{\"t\":", self.t_ns);
+        put_uint(out, b",\"w\":", self.worker.0 as u64);
+        put_uint(out, b",\"p\":", self.place.0 as u64);
+        put_str(out, b",\"ev\":", self.kind.name());
+        match self.kind {
+            TraceEventKind::Spawn { task }
+            | TraceEventKind::TaskStart { task }
+            | TraceEventKind::TaskEnd { task } => {
+                put_uint(out, b",\"task\":", task.0);
+            }
+            TraceEventKind::StealAttempt { tier } => {
+                put_str(out, b",\"tier\":", tier.name());
+            }
+            TraceEventKind::StealSuccess {
+                tier,
+                task,
+                victim,
+                latency_ns,
+            } => {
+                put_str(out, b",\"tier\":", tier.name());
+                put_uint(out, b",\"task\":", task.0);
+                put_uint(out, b",\"victim\":", victim.0 as u64);
+                put_uint(out, b",\"latency_ns\":", latency_ns);
+            }
+            TraceEventKind::Migration { task, from, to }
+            | TraceEventKind::TaskRecover { task, from, to } => {
+                put_uint(out, b",\"task\":", task.0);
+                put_uint(out, b",\"from\":", from.0 as u64);
+                put_uint(out, b",\"to\":", to.0 as u64);
+            }
+            TraceEventKind::RemoteRef { task, home, bytes } => {
+                put_uint(out, b",\"task\":", task.0);
+                put_uint(out, b",\"home\":", home.0 as u64);
+                put_uint(out, b",\"bytes\":", bytes);
+            }
+            TraceEventKind::NetProbe
+            | TraceEventKind::Dormant
+            | TraceEventKind::Wakeup
+            | TraceEventKind::PlaceFail
+            | TraceEventKind::PlaceRestart => {}
+            TraceEventKind::Message {
+                kind,
+                to,
+                bytes,
+                dropped,
+            } => {
+                put_str(out, b",\"kind\":", kind.name());
+                put_uint(out, b",\"to\":", to.0 as u64);
+                put_uint(out, b",\"bytes\":", bytes);
+                if dropped {
+                    out.extend_from_slice(b",\"dropped\":true");
+                }
+            }
+            TraceEventKind::StealTimeout { victim, attempt } => {
+                put_uint(out, b",\"victim\":", victim.0 as u64);
+                put_uint(out, b",\"attempt\":", attempt as u64);
+            }
+        }
+        out.push(b'}');
+    }
+}
+
+/// Append `key` (its separator, quotes and colon included) and `v` in
+/// decimal.
+fn put_uint(out: &mut Vec<u8>, key: &[u8], mut v: u64) {
+    out.extend_from_slice(key);
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Append `key` and the quoted wire name `v`. Wire names are plain
+/// lowercase ASCII, so no character needs escaping.
+fn put_str(out: &mut Vec<u8>, key: &[u8], v: &str) {
+    out.extend_from_slice(key);
+    out.push(b'"');
+    out.extend_from_slice(v.as_bytes());
+    out.push(b'"');
 }
 
 #[cfg(test)]
@@ -380,6 +475,118 @@ mod tests {
         assert_eq!(
             recover.to_jsonl(),
             r#"{"t":99,"w":4,"p":2,"ev":"task_recover","task":8,"from":2,"to":0}"#
+        );
+    }
+
+    /// Every variant, with every integer field set from `v` (u32 fields
+    /// truncate, so `u64::MAX` also yields `u32::MAX` there).
+    fn every_kind(v: u64, dropped: bool) -> Vec<TraceEventKind> {
+        let task = TaskId(v);
+        let place = PlaceId(v as u32);
+        let mut kinds = vec![
+            TraceEventKind::Spawn { task },
+            TraceEventKind::TaskStart { task },
+            TraceEventKind::TaskEnd { task },
+            TraceEventKind::NetProbe,
+            TraceEventKind::Migration {
+                task,
+                from: place,
+                to: place,
+            },
+            TraceEventKind::RemoteRef {
+                task,
+                home: place,
+                bytes: v,
+            },
+            TraceEventKind::Dormant,
+            TraceEventKind::Wakeup,
+            TraceEventKind::StealTimeout {
+                victim: place,
+                attempt: v as u32,
+            },
+            TraceEventKind::PlaceFail,
+            TraceEventKind::PlaceRestart,
+            TraceEventKind::TaskRecover {
+                task,
+                from: place,
+                to: place,
+            },
+        ];
+        for tier in [
+            StealTier::LocalPrivate,
+            StealTier::LocalShared,
+            StealTier::Remote,
+        ] {
+            kinds.push(TraceEventKind::StealAttempt { tier });
+            kinds.push(TraceEventKind::StealSuccess {
+                tier,
+                task,
+                victim: place,
+                latency_ns: v,
+            });
+        }
+        for kind in [
+            MessageKind::StealRequest,
+            MessageKind::StealReply,
+            MessageKind::TaskMigrate,
+            MessageKind::DataRequest,
+            MessageKind::DataReply,
+            MessageKind::Control,
+        ] {
+            kinds.push(TraceEventKind::Message {
+                kind,
+                to: place,
+                bytes: v,
+                dropped,
+            });
+        }
+        kinds
+    }
+
+    #[test]
+    fn byte_encoder_matches_the_value_rendering() {
+        let edges = [0, 9, 10, u32::MAX as u64, u64::MAX];
+        let mut names = std::collections::BTreeSet::new();
+        let mut line = Vec::new();
+        for &v in &edges {
+            for dropped in [false, true] {
+                for kind in every_kind(v, dropped) {
+                    names.insert(kind.name());
+                    let ev = TraceEvent {
+                        t_ns: v,
+                        worker: GlobalWorkerId(v as u32),
+                        place: PlaceId(v as u32),
+                        kind,
+                    };
+                    line.clear();
+                    ev.write_jsonl(&mut line);
+                    let want = ev.to_json().render();
+                    assert_eq!(std::str::from_utf8(&line).unwrap(), want);
+                    assert_eq!(ev.to_jsonl(), want);
+                }
+            }
+        }
+        assert_eq!(names.len(), 15, "every TraceEventKind variant: {names:?}");
+    }
+
+    #[test]
+    fn write_jsonl_appends() {
+        let a = TraceEvent {
+            t_ns: 1,
+            worker: GlobalWorkerId(0),
+            place: PlaceId(0),
+            kind: TraceEventKind::Wakeup,
+        };
+        let b = TraceEvent {
+            kind: TraceEventKind::Spawn { task: TaskId(10) },
+            ..a
+        };
+        let mut out = Vec::new();
+        a.write_jsonl(&mut out);
+        b.write_jsonl(&mut out);
+        assert_eq!(
+            out,
+            format!("{}{}", a.to_jsonl(), b.to_jsonl()).into_bytes()
         );
     }
 

@@ -104,12 +104,19 @@ impl TraceSink for RingSink {
 pub struct JsonlSink<W: Write> {
     out: W,
     written: u64,
+    /// The line being encoded, reused for every event so recording
+    /// allocates nothing once it has grown to the longest line.
+    line: Vec<u8>,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Stream events to `out`, one JSONL line each.
     pub fn new(out: W) -> Self {
-        JsonlSink { out, written: 0 }
+        JsonlSink {
+            out,
+            written: 0,
+            line: Vec::with_capacity(128),
+        }
     }
 
     /// Lines written so far.
@@ -128,9 +135,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     fn record(&mut self, ev: TraceEvent) {
         // Panicking on a broken pipe mid-simulation would poison a
         // deterministic run; drop the line instead and keep counting.
-        let mut line = ev.to_jsonl();
-        line.push('\n');
-        if self.out.write_all(line.as_bytes()).is_ok() {
+        self.line.clear();
+        ev.write_jsonl(&mut self.line);
+        self.line.push(b'\n');
+        if self.out.write_all(&self.line).is_ok() {
             self.written += 1;
         }
     }
