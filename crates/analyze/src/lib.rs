@@ -39,9 +39,6 @@
 //! * [`canon`] — symmetry canonicalization (place/task orbit
 //!   representatives) and compact bit-packed state keys for the
 //!   protocol model's reduced mode.
-//! * [`tla`] — a TLA+ exporter that renders a protocol scenario's
-//!   transition relation as a TLC-checkable module. Surface:
-//!   `repro check tla`.
 //! * [`conform`] — a steal-order conformance pass that replays real
 //!   `*.trace.jsonl` streams against the Algorithm 1 automaton: tier
 //!   monotonicity per worker round, success justification by prior
@@ -62,7 +59,6 @@ pub mod lint;
 pub mod liveness;
 pub mod protocol;
 pub mod reduce;
-pub mod tla;
 
 pub use conform::{conform_lines, conform_str, ConformConfig, ConformReport, ConformViolation};
 pub use hb::{validate_lines, validate_str, HbReport, HbViolation};
@@ -74,4 +70,3 @@ pub use protocol::{
     MutantCheck, ProtocolMutant, ProtocolScenario,
 };
 pub use reduce::{ExploreStats, Mode, Outcome};
-pub use tla::export_tla;

@@ -107,8 +107,8 @@ impl Property {
         }
     }
 
-    /// The property in TLA+ vocabulary, matching the temporal section
-    /// of the [`crate::tla`] export.
+    /// The property written as a TLA+ temporal formula, as
+    /// `repro check --list` prints it.
     pub fn formula(self) -> &'static str {
         match self {
             Property::EventualExecution => "\\A t \\in TaskIds : <>(tstate[t] = \"done\")",

@@ -77,23 +77,6 @@ impl<T> SharedSlice<T> {
         std::slice::from_raw_parts(self.ptr.add(start), end - start)
     }
 
-    /// Consume the (uniquely owned) wrapper, returning the vector.
-    /// Panics if other `Arc` handles are still alive.
-    pub fn try_unwrap(this: Arc<Self>) -> Vec<T> {
-        match Arc::try_unwrap(this) {
-            Ok(s) => {
-                // SAFETY: sole owner; reconstitute the box and prevent
-                // the Drop impl from double-freeing.
-                let v = unsafe {
-                    Box::from_raw(std::ptr::slice_from_raw_parts_mut(s.ptr, s.len)).into_vec()
-                };
-                std::mem::forget(s);
-                v
-            }
-            Err(_) => panic!("SharedSlice still shared"),
-        }
-    }
-
     /// Snapshot of the full contents (requires exclusive logical
     /// access, e.g. after a run completed).
     ///
@@ -118,21 +101,6 @@ impl<T> Drop for SharedSlice<T> {
     }
 }
 
-/// Fold a slice of f64s with Kahan summation (used by validation code
-/// that compares across schedulers, where naive summation order
-/// differences would create false mismatches).
-pub fn kahan_sum(xs: impl IntoIterator<Item = f64>) -> f64 {
-    let mut sum = 0.0;
-    let mut c = 0.0;
-    for x in xs {
-        let y = x - c;
-        let t = sum + y;
-        c = (t - sum) - y;
-        sum = t;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,19 +120,5 @@ mod tests {
         let v = unsafe { s.snapshot() };
         assert_eq!(&v[..5], &[1; 5]);
         assert_eq!(&v[5..], &[2; 5]);
-    }
-
-    #[test]
-    fn unwrap_returns_storage() {
-        let s = SharedSlice::new(vec![7u8; 3]);
-        assert_eq!(SharedSlice::try_unwrap(s), vec![7u8; 3]);
-    }
-
-    #[test]
-    fn kahan_handles_catastrophic_cancellation() {
-        // 1 + 1e-16 repeated: naive f64 sum loses the small terms.
-        let xs = std::iter::once(1.0).chain(std::iter::repeat_n(1e-16, 1_000_000));
-        let s = kahan_sum(xs);
-        assert!((s - (1.0 + 1e-10)).abs() < 1e-12, "kahan sum {s}");
     }
 }

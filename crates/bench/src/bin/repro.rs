@@ -3,16 +3,16 @@
 //! ```text
 //! repro <experiment> [--scale quick|default|paper] [--json DIR]
 //! repro trace <app> [--scale ...] [--policy NAME] [--seed N] [--json DIR]
+//! repro metrics <app> [--scale ...]
 //! repro chaos <app> --faults SPEC [--scale ...] [--policy NAME] [--seed N] [--json DIR] [--validate]
 //! repro cluster <app> --places N [--wpp N] [--policy NAME] [--seed N] [--transport unix|tcp]
 //!               [--kill "place@ms[,restart@ms][;...]"] [--dir DIR]
 //! repro bench [--suite quick|full|scale] [--seed S] [--out FILE]
 //! repro bench --check FILE
 //! repro lint [ROOT]
-//! repro check protocol | liveness | mutants | tla | hb FILE.jsonl [--scenario NAME] [--list]
+//! repro check protocol | liveness | mutants | hb FILE.jsonl [--scenario NAME] [--list]
 //! repro check protocol [--scenario NAME] [--full] [--compare] [--json]
 //! repro check liveness [--scenario NAME] [--full] [--compare] [--json]
-//! repro check tla [--scenario NAME] [--out FILE]
 //! repro conform FILE.jsonl [--policy NAME]
 //!
 //! experiments:
@@ -25,6 +25,10 @@
 //! `trace_event` JSON (load it at <https://ui.perfetto.dev>), dumps the
 //! utilization time series, and prints a terminal place timeline plus
 //! the latency/granularity percentile summaries.
+//!
+//! `repro metrics` runs one application once (DistWS on the paper
+//! cluster, seed 0) with engine self-metrics enabled and prints its
+//! counter/gauge/phase table (`docs/metrics.md`).
 //!
 //! `repro chaos` sweeps fault-injection intensities of a `--faults`
 //! spec (grammar in `docs/faults.md`, e.g.
@@ -49,9 +53,8 @@
 //! model checker (`protocol` — reduced by default, `--full` for the
 //! unreduced exploration, `--full --compare` for the reduced/full
 //! cross-validation), the protocol-mutation smoke test (`mutants`;
-//! exit 3 when a mutant exploration crashes rather than catches), or
-//! the TLA+ exporter (`tla [--out FILE]`, module named after the file
-//! stem); `--scenario NAME` restricts a checker to one builtin
+//! exit 3 when a mutant exploration crashes rather than catches);
+//! `--scenario NAME` restricts a checker to one builtin
 //! scenario and `--list` enumerates them. `repro check hb FILE`
 //! validates a `*.trace.jsonl` file; `repro conform FILE` replays one
 //! against the Algorithm 1 steal-order automaton (pass `--policy` to
@@ -210,7 +213,6 @@ fn main() {
             Some("protocol") => run_check_protocol(scenario.as_deref(), full, compare, json),
             Some("liveness") => run_check_liveness(scenario.as_deref(), full, compare, json),
             Some("mutants") => run_check_mutants(),
-            Some("tla") => run_check_tla(scenario.as_deref(), bench_out.as_deref()),
             Some("hb") => {
                 let Some(path) = positional.get(2) else {
                     eprintln!("usage: repro check hb FILE.jsonl");
@@ -220,7 +222,7 @@ fn main() {
             }
             Some(other) => {
                 eprintln!(
-                    "unknown check '{other}' (expected: protocol, liveness, mutants, tla, hb FILE.jsonl)"
+                    "unknown check '{other}' (expected: protocol, liveness, mutants, hb FILE.jsonl)"
                 );
                 std::process::exit(2);
             }
@@ -247,6 +249,14 @@ fn main() {
             seed,
             json_dir.as_deref().unwrap_or("trace-out"),
         );
+        return;
+    }
+    if positional.first().map(String::as_str) == Some("metrics") {
+        let Some(app) = positional.get(1) else {
+            eprintln!("usage: repro metrics <app> [--scale S]");
+            std::process::exit(2);
+        };
+        run_metrics(app, scale);
         return;
     }
     if positional.first().map(String::as_str) == Some("chaos") {
@@ -351,6 +361,7 @@ fn main() {
             "experiments: fig3 fig4 fig5 fig6 fig7 table1 table2 table3 granularity uts adaptive ablation all"
         );
         eprintln!("or: repro trace <app> [--scale S] [--policy P] [--seed N] [--json DIR]");
+        eprintln!("or: repro metrics <app> [--scale S]");
         eprintln!(
             "or: repro chaos <app> --faults SPEC [--scale S] [--policy P] [--seed N] [--json DIR] [--validate]"
         );
@@ -365,7 +376,7 @@ fn main() {
 }
 
 /// The `repro check` usage line.
-const CHECK_USAGE: &str = "repro check protocol | liveness | mutants | tla | hb FILE.jsonl [--scenario NAME] [--list] [--full] [--compare] [--json] [--out FILE]";
+const CHECK_USAGE: &str = "repro check protocol | liveness | mutants | hb FILE.jsonl [--scenario NAME] [--list] [--full] [--compare] [--json]";
 
 /// `--seed` accepts decimal or `0x` hex.
 fn parse_seed(s: &str) -> Option<u64> {
@@ -429,6 +440,27 @@ fn run_chaos(
     }
 }
 
+/// `repro metrics <app>` — counter/gauge/phase table of a fresh
+/// metered run of one app.
+fn run_metrics(name: &str, scale: Scale) {
+    let cell = perf::bench_app(name, scale)
+        .ok_or_else(|| format!("unknown app '{name}' (try Quicksort, k-Means, UTS, DMG, ...)"))
+        .and_then(|app| {
+            perf::run_workload(
+                app.as_ref(),
+                "DistWS",
+                &distws_core::ClusterConfig::paper(),
+                0,
+            )
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+    println!("## {} (seed 0)", cell.label());
+    println!("{}", cell.metrics.render_table());
+}
+
 /// `repro lint [ROOT]` — the determinism lint over the workspace.
 fn run_lint(root: Option<&str>) {
     let root = std::path::PathBuf::from(root.unwrap_or("."));
@@ -452,9 +484,7 @@ fn run_lint(root: Option<&str>) {
 
 /// `repro check --list` — enumerate every builtin checker scenario.
 fn run_check_list() {
-    println!(
-        "protocol scenarios (repro check protocol|liveness --scenario NAME; also repro check tla):"
-    );
+    println!("protocol scenarios (repro check protocol|liveness --scenario NAME):");
     for s in distws_analyze::protocol::builtin_scenarios() {
         let mut notes: Vec<&str> = Vec::new();
         if s.faults.kill_place.is_some() || s.faults.max_drops > 0 || s.faults.max_dups > 0 {
@@ -859,38 +889,6 @@ fn run_check_protocol_compare(scs: &[distws_analyze::ProtocolScenario]) {
     println!(
         "(reduced and full explorations agree on every verdict; skipped rows are scale scenarios)"
     );
-}
-
-/// `repro check tla [--scenario NAME] [--out FILE]` — export a
-/// scenario's transition relation as a TLC-checkable TLA+ module. The
-/// module name is the output file stem (TLC requires them to match),
-/// or the scenario name when printing to stdout.
-fn run_check_tla(scenario: Option<&str>, out: Option<&str>) {
-    let name = scenario.unwrap_or("sensitive_pinning");
-    let Some(sc) = distws_analyze::scenario_by_name(name) else {
-        eprintln!("unknown protocol scenario '{name}' (see repro check --list)");
-        std::process::exit(2);
-    };
-    match out {
-        Some(path) => {
-            let module = std::path::Path::new(path)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or(sc.name);
-            let text = distws_analyze::export_tla(&sc, module);
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("repro check tla: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!(
-                "repro check tla: wrote module {module} (scenario {}) to {path}",
-                sc.name
-            );
-        }
-        None => {
-            print!("{}", distws_analyze::export_tla(&sc, sc.name));
-        }
-    }
 }
 
 /// `repro check mutants` — re-inject the seeded protocol bugs (safety

@@ -12,11 +12,9 @@
 //! | [`fig3_steal_ratio`] | Fig. 3 — steals-to-task ratio |
 //! | [`fig4_sequential`] | Fig. 4 — sequential execution times |
 //! | [`fig5_speedups`] | Fig. 5 — speedup vs workers, X10WS vs DistWS |
-//! | [`fig6_three_way`] | Fig. 6 — X10WS vs DistWS-NS vs DistWS at 128 workers |
+//! | [`three_way`] | Fig. 6, Tables II and III — X10WS vs DistWS-NS vs DistWS at 128 workers: speedup, L1d miss rates, messages across nodes |
 //! | [`fig7_utilization`] | Fig. 7 — per-node CPU utilization |
 //! | [`table1_granularity`] | Table I — task granularities |
-//! | [`table2_cache`] | Table II — L1d miss rates |
-//! | [`table3_messages`] | Table III — messages across nodes |
 //! | [`granularity_study`] | §VIII.2 — micro-app study |
 //! | [`uts_study`] | §X — UTS vs random/lifeline stealing |
 //! | [`ablation_chunk`] | §V.B.3 — remote chunk size |
@@ -285,21 +283,6 @@ pub fn three_way(scale: Scale) -> Vec<ThreeWayRow> {
         }
     }
     out
-}
-
-/// Fig. 6 view of [`three_way`].
-pub fn fig6_three_way(scale: Scale) -> Vec<ThreeWayRow> {
-    three_way(scale)
-}
-
-/// Table II view of [`three_way`].
-pub fn table2_cache(scale: Scale) -> Vec<ThreeWayRow> {
-    three_way(scale)
-}
-
-/// Table III view of [`three_way`].
-pub fn table3_messages(scale: Scale) -> Vec<ThreeWayRow> {
-    three_way(scale)
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-//! `repro` CLI edges: an unwritable output path and a missing or unknown
-//! check are usage errors (exit 2), never a panic.
+//! `repro` CLI edges: an unwritable output path, a missing or unknown
+//! check and an unknown app are usage errors (exit 2), never a panic.
 
 use std::process::Command;
 
@@ -30,12 +30,41 @@ fn unwritable_output_path_exits_2() {
 #[test]
 fn bare_check_prints_usage() {
     let stderr = repro("check");
-    let want = "usage: repro check protocol | liveness | mutants | tla | hb";
+    let want = "usage: repro check protocol | liveness | mutants | hb";
     assert!(stderr.contains(want), "{stderr}");
 }
 
 #[test]
 fn interleave_is_an_unknown_check() {
-    let stderr = repro("check interleave");
-    assert!(stderr.contains("unknown check 'interleave'"), "{stderr}");
+    for check in ["interleave", "tla"] {
+        let stderr = repro(&format!("check {check}"));
+        assert!(
+            stderr.contains(&format!("unknown check '{check}'")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn metrics_prints_the_counter_table() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["metrics", "UTS", "--scale", "quick"])
+        .output()
+        .expect("spawn repro");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with("## UTS / DistWS on 16x8 (seed 0)\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.lines().any(|l| l.starts_with("tasks_allocated ")),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn metrics_unknown_app_exits_2() {
+    let stderr = repro("metrics nope");
+    assert!(stderr.contains("unknown app 'nope'"), "{stderr}");
 }

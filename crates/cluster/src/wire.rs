@@ -325,10 +325,9 @@ fn get_tasks(c: &mut Cursor<'_>) -> io::Result<Vec<WireTask>> {
 
 impl Frame {
     /// The shared message-kind of this frame
-    /// (`distws_sched::protocol::MessageKind`) — the vocabulary the
-    /// protocol model and the TLA+ export reason over. The wire tag
+    /// (`distws_sched::protocol::MessageKind`). The wire tag
     /// constants below equal `kind().tag()`; the frame tests pin the
-    /// correspondence so model and wire can never drift.
+    /// correspondence so enum and wire can never drift.
     pub fn kind(&self) -> MessageKind {
         match self {
             Frame::Hello { .. } => MessageKind::Hello,
@@ -749,13 +748,13 @@ mod tests {
     fn wire_tags_equal_the_shared_message_kind_enum() {
         // The first payload byte of every encoded frame must be its
         // MessageKind discriminant — the contract that keeps the
-        // protocol model's vocabulary honest about the wire.
+        // shared vocabulary honest about the wire.
         for f in all_frames() {
             assert_eq!(
                 f.encode()[0],
                 f.kind().tag(),
                 "tag drift for {:?}",
-                f.kind().name()
+                f.kind()
             );
         }
         // And the enum covers exactly the tag space the wire uses.

@@ -18,6 +18,11 @@
 //!
 //! (The wire-level duplicate-`TaskMigrate` drop has a unit test in
 //! `place.rs`; this file covers the end-to-end, multi-process story.)
+//!
+//! A passing kill run removes its `$TMPDIR/distws-cluster-proc-*`
+//! directory; a failing one keeps it on purpose. Its per-place logs
+//! and `merged.trace.jsonl` are the evidence for the open
+//! duplicate-execution bug (ROADMAP.md item 18).
 
 use distws_analyze::validate_str;
 use distws_cluster::{run_cluster, run_place, KillSpec, LaunchConfig, PlaceConfig, Transport};

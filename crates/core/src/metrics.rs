@@ -204,18 +204,6 @@ impl UtilizationSummary {
             max - min
         }
     }
-
-    /// Population standard deviation of per-place utilization (over
-    /// the finite entries; 0.0 when fewer than two remain).
-    pub fn std_dev(&self) -> f64 {
-        let n = self.finite().count();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.finite().map(|u| (u - m) * (u - m)).sum::<f64>() / n as f64;
-        var.sqrt()
-    }
 }
 
 /// Percentile summary of one virtual-time distribution, folded out of
@@ -509,7 +497,6 @@ mod tests {
         let u = UtilizationSummary::default();
         assert_eq!(u.mean(), 0.0);
         assert_eq!(u.disparity(), 0.0);
-        assert_eq!(u.std_dev(), 0.0);
     }
 
     #[test]
@@ -523,7 +510,6 @@ mod tests {
             0.0,
             "one place cannot be disparate with itself"
         );
-        assert_eq!(u.std_dev(), 0.0);
     }
 
     #[test]
@@ -535,13 +521,11 @@ mod tests {
         };
         assert!((u.mean() - 0.5).abs() < 1e-12);
         assert!((u.disparity() - 0.6).abs() < 1e-12);
-        assert!((u.std_dev() - 0.3).abs() < 1e-12);
         let all_bad = UtilizationSummary {
             per_place: vec![f64::NAN, f64::NAN],
         };
         assert_eq!(all_bad.mean(), 0.0);
         assert_eq!(all_bad.disparity(), 0.0);
-        assert_eq!(all_bad.std_dev(), 0.0);
     }
 
     #[test]

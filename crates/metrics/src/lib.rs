@@ -483,7 +483,7 @@ impl MetricsSnapshot {
         })
     }
 
-    /// The fixed-width counter/gauge/phase table `diag metrics`
+    /// The fixed-width counter/gauge/phase table `repro metrics`
     /// prints. Output is pinned by a fixture test.
     pub fn render_table(&self) -> String {
         let mut out = String::new();

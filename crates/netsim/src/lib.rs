@@ -72,8 +72,6 @@ pub struct Network {
     topo: Topology,
     places: u32,
     counts: MessageCounts,
-    /// Messages per directed edge, row-major `[src][dst]`.
-    per_edge: Vec<u64>,
     /// Per-message log, populated only while `recording` (tracing).
     recording: bool,
     log: Vec<MsgRecord>,
@@ -94,7 +92,6 @@ impl Network {
             topo,
             places,
             counts: MessageCounts::default(),
-            per_edge: vec![0; (places as usize) * (places as usize)],
             recording: false,
             log: Vec::new(),
             faults: FaultPlan::default(),
@@ -149,7 +146,6 @@ impl Network {
             MsgKind::Control => self.counts.control += 1,
         }
         self.counts.bytes += payload_bytes;
-        self.per_edge[src.index() * self.places as usize + dst.index()] += 1;
         if self.recording {
             self.log.push(MsgRecord {
                 src,
@@ -253,17 +249,6 @@ impl Network {
     pub fn dropped_total(&self) -> u64 {
         self.counts.dropped.total()
     }
-
-    /// Messages sent on the directed edge `src → dst`.
-    pub fn edge_count(&self, src: PlaceId, dst: PlaceId) -> u64 {
-        self.per_edge[src.index() * self.places as usize + dst.index()]
-    }
-
-    /// Reset all counters (between experiment phases).
-    pub fn reset_counts(&mut self) {
-        self.counts = MessageCounts::default();
-        self.per_edge.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -293,8 +278,6 @@ mod tests {
         assert_eq!(cost, cm.net_latency_ns + cm.transfer_ns(1_000));
         assert_eq!(n.counts().data_replies, 1);
         assert_eq!(n.counts().bytes, 1_000);
-        assert_eq!(n.edge_count(PlaceId(0), PlaceId(1)), 1);
-        assert_eq!(n.edge_count(PlaceId(1), PlaceId(0)), 0);
     }
 
     #[test]
@@ -330,15 +313,6 @@ mod tests {
         n.send(PlaceId(0), PlaceId(1), MsgKind::Control, 8);
         n.set_recording(false);
         assert!(n.take_log().is_empty());
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut n = net();
-        n.send(PlaceId(0), PlaceId(1), MsgKind::TaskMigrate, 10);
-        n.reset_counts();
-        assert_eq!(n.counts().total(), 0);
-        assert_eq!(n.edge_count(PlaceId(0), PlaceId(1)), 0);
     }
 
     #[test]

@@ -67,13 +67,8 @@ pub struct RuntimeConfig {
     /// lost, keeping exactly-once execution by construction. Clamped
     /// to 0.9 so retransmission always terminates.
     pub drop_p: f64,
-    /// Timeout/backoff parameters for emulated loss and for remote
-    /// steal retries in the workers.
+    /// Timeout parameters for emulated loss.
     pub retry: RetryPolicy,
-    /// Retries against an empty remote victim before falling through
-    /// to the next victim (0 = probe once, matching the historical
-    /// behavior).
-    pub steal_retry_budget: u32,
 }
 
 impl RuntimeConfig {
@@ -85,7 +80,6 @@ impl RuntimeConfig {
             seed: 0x5EED,
             drop_p: 0.0,
             retry: RetryPolicy::default(),
-            steal_retry_budget: 0,
         }
     }
 }
@@ -114,15 +108,11 @@ pub(crate) struct RunShared {
     /// First-transmission loss probability for cross-place deliveries.
     pub drop_p: f64,
     pub retry: RetryPolicy,
-    /// Empty-victim retries per remote probe before moving on.
-    pub steal_retry_budget: u32,
     /// Seeded stream deciding which deliveries are "lost". A mutex is
     /// fine: it is touched only on cross-place sends when `drop_p > 0`.
     pub drop_rng: Mutex<SplitMix64>,
     pub msgs_dropped: AtomicU64,
     pub retransmissions: AtomicU64,
-    pub steal_timeouts: AtomicU64,
-    pub steal_retries: AtomicU64,
     /// Trace sink shared by all workers (null unless
     /// [`Runtime::run_roots_traced`] was used).
     pub trace: SharedSink,
@@ -274,10 +264,7 @@ impl Runtime {
             metrics.add(Counter::steal_successes(2), report.steals.remote);
             metrics.add(Counter::MsgsSent, report.messages.total());
             metrics.add(Counter::MsgsDropped, report.faults.msgs_dropped);
-            metrics.add(
-                Counter::MsgsRetried,
-                report.faults.retransmissions + report.faults.steal_retries,
-            );
+            metrics.add(Counter::MsgsRetried, report.faults.retransmissions);
         }
         report
     }
@@ -314,12 +301,9 @@ impl Runtime {
             total_est_ns: AtomicU64::new(0),
             drop_p: self.cfg.drop_p,
             retry: self.cfg.retry,
-            steal_retry_budget: self.cfg.steal_retry_budget,
             drop_rng: Mutex::new(SplitMix64::new(self.cfg.seed ^ 0xFA17)),
             msgs_dropped: AtomicU64::new(0),
             retransmissions: AtomicU64::new(0),
-            steal_timeouts: AtomicU64::new(0),
-            steal_retries: AtomicU64::new(0),
             trace: sink,
             epoch: Instant::now(),
         });
@@ -394,8 +378,6 @@ impl Runtime {
             faults: FaultSummary {
                 msgs_dropped: shared.msgs_dropped.load(Ordering::Relaxed),
                 retransmissions: shared.retransmissions.load(Ordering::Relaxed),
-                steal_timeouts: shared.steal_timeouts.load(Ordering::Relaxed),
-                steal_retries: shared.steal_retries.load(Ordering::Relaxed),
                 ..Default::default()
             },
             percentiles: distws_core::RunPercentiles {
@@ -552,31 +534,6 @@ mod tests {
             "40% loss over 40 deliveries must drop something"
         );
         assert_eq!(report.faults.msgs_dropped, report.faults.retransmissions);
-    }
-
-    #[test]
-    fn steal_retry_budget_is_exercised_and_bounded() {
-        // Root keeps one worker busy while the others probe remotely;
-        // with a retry budget the probes against empty victims must
-        // back off and recount, and the run must still terminate.
-        let counter = Arc::new(A64::new(0));
-        let roots: Vec<TaskSpec> = (0..20)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                TaskSpec::new(PlaceId(0), Locality::Flexible, 10_000, "t", move |_| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_micros(50));
-                })
-            })
-            .collect();
-        let mut cfg = RuntimeConfig::new(ClusterConfig::new(2, 2));
-        cfg.steal_retry_budget = 2;
-        cfg.retry.backoff_base_ns = 1_000;
-        cfg.retry.backoff_max_ns = 4_000;
-        let mut rt = Runtime::with_config(cfg, Box::new(DistWs::default()));
-        let report = rt.run_roots("retry", roots);
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
-        assert_eq!(report.faults.steal_timeouts, report.faults.steal_retries);
     }
 
     #[test]

@@ -217,36 +217,12 @@ impl WorkerHarness {
                         tier: StealTier::Remote,
                     });
                     let started = Instant::now();
-                    // Clone the Arc so the deque borrow doesn't pin
-                    // `self` (the retry loop below needs `&mut self`
-                    // for tracing and backoff jitter).
-                    let shared = Arc::clone(&self.shared);
-                    let q = &shared.shared[victim.index()];
-                    let budget = self.shared.steal_retry_budget;
-                    let mut attempt = 0u32;
-                    let chunk = loop {
-                        attempt += 1;
-                        if !q.is_empty() {
-                            let c = q.take_chunk(self.policy.remote_chunk_for(q.len()));
-                            self.shared.board.set_shared_len(victim, q.len());
-                            if !c.is_empty() {
-                                break c;
-                            }
-                        }
-                        // Empty-handed probe. On real threads there is
-                        // no lost reply to wait out, so a "timeout" is
-                        // simply a fruitless probe; while the retry
-                        // budget lasts, back off and re-probe the same
-                        // victim (work may get published meanwhile).
-                        if attempt > budget {
-                            break Vec::new();
-                        }
-                        self.shared.steal_timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.shared.steal_retries.fetch_add(1, Ordering::Relaxed);
-                        self.emit(TraceEventKind::StealTimeout { victim, attempt });
-                        let backoff = self.shared.retry.backoff_ns(attempt, &mut self.rng);
-                        std::thread::sleep(Duration::from_nanos(backoff));
-                    };
+                    let q = &self.shared.shared[victim.index()];
+                    if q.is_empty() {
+                        continue;
+                    }
+                    let chunk = q.take_chunk(self.policy.remote_chunk_for(q.len()));
+                    self.shared.board.set_shared_len(victim, q.len());
                     if chunk.is_empty() {
                         continue;
                     }

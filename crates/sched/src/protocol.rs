@@ -103,9 +103,7 @@ pub fn map_flexible_private(place_active: bool, under_utilized: bool) -> bool {
 }
 
 /// The cluster wire vocabulary (PR 7's `distws-cluster` frames), as a
-/// shared enum so the transport (`distws_cluster::wire`), the protocol
-/// model (`distws_analyze::protocol`) and the TLA+ export
-/// (`distws_analyze::tla`) agree on one message-kind space. The
+/// shared enum that `distws_cluster::wire` maps every frame onto. The
 /// discriminants are the wire tags; `distws-cluster` asserts the
 /// correspondence in its frame tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -159,24 +157,6 @@ impl MessageKind {
     /// The kind for a wire tag byte, if any.
     pub fn from_tag(tag: u8) -> Option<MessageKind> {
         MessageKind::ALL.iter().copied().find(|k| k.tag() == tag)
-    }
-
-    /// Stable lowercase name (used in traces, stats and the TLA+
-    /// export).
-    pub fn name(self) -> &'static str {
-        match self {
-            MessageKind::Hello => "hello",
-            MessageKind::StealProbe => "steal_probe",
-            MessageKind::StealReply => "steal_reply",
-            MessageKind::TaskMigrate => "task_migrate",
-            MessageKind::FinishDec => "finish_dec",
-            MessageKind::TaskMoved => "task_moved",
-            MessageKind::Heartbeat => "heartbeat",
-            MessageKind::Shutdown => "shutdown",
-            MessageKind::SpawnNote => "spawn_note",
-            MessageKind::TaskQuery => "task_query",
-            MessageKind::TaskAnswer => "task_answer",
-        }
     }
 }
 

@@ -6,8 +6,9 @@
 //! either retries the same victim after an exponential backoff with
 //! jitter (while its retry budget lasts) or falls through to the next
 //! victim in the steal order. The same policy is shared by the
-//! discrete-event simulator (virtual time) and the threaded runtime
-//! (wall-clock time) so both degrade the same way.
+//! discrete-event simulator (virtual time) and the socket cluster
+//! (wall-clock time, via `distws_cluster::clock`) so both degrade the
+//! same way.
 
 use crate::protocol::STEAL_RETRY_BUDGET;
 use distws_core::SplitMix64;

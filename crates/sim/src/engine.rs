@@ -102,11 +102,6 @@ impl Simulation {
         Simulation { cfg, policy }
     }
 
-    /// Mutable access to the configuration (tune costs, seed, …).
-    pub fn config_mut(&mut self) -> &mut SimConfig {
-        &mut self.cfg
-    }
-
     /// Run a [`Workload`]: generate its roots, execute to completion,
     /// and validate its result (panicking on an application-level
     /// wrong answer — scheduling must never change answers).

@@ -310,18 +310,6 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Whether any time in the spec is makespan-relative (needs a
-    /// fault-free baseline run to resolve).
-    pub fn needs_baseline(&self) -> bool {
-        let pct = |t: &TimeSpec| matches!(t, TimeSpec::Pct(_));
-        self.jitter.as_ref().is_some_and(pct)
-            || self.spike.as_ref().is_some_and(|(_, d)| pct(d))
-            || self.partitions.iter().any(|(_, _, a, b)| pct(a) || pct(b))
-            || self.kills.iter().any(|(_, t)| pct(t))
-            || self.hard_kills.iter().any(|(_, t)| pct(t))
-            || self.restarts.iter().any(|(_, t)| pct(t))
-    }
-
     /// Resolve into an engine [`FaultConfig`]: percent times against
     /// `baseline_makespan_ns`, probabilistic intensities scaled by
     /// `level` in `[0, 1]`. Structural faults (kills, restarts,
@@ -407,7 +395,6 @@ mod tests {
         assert_eq!(s.kills, vec![(3, TimeSpec::Pct(50.0))]);
         assert_eq!(s.restarts, vec![(3, TimeSpec::Pct(80.0))]);
         assert_eq!(s.slow, vec![(1, 2.5)]);
-        assert!(s.needs_baseline());
     }
 
     #[test]
@@ -468,7 +455,6 @@ mod tests {
     #[test]
     fn percent_times_resolve_against_baseline() {
         let spec = FaultSpec::parse("kill=1@50%").unwrap();
-        assert!(spec.needs_baseline());
         let cfg = spec.resolve(2_000_000, 1.0, 1);
         assert_eq!(cfg.kills, vec![(PlaceId(1), 1_000_000)]);
     }
