@@ -73,7 +73,22 @@ fn build_hash() -> &'static str {
     option_env!("DISTWS_BUILD_HASH").unwrap_or("unknown")
 }
 
+/// `println!` panics once stdout's reader has gone (`repro … | head`).
+/// A closed pipe means nobody reads further output, so that panic ends
+/// the program quietly with exit 0; every other panic reports as usual.
+fn exit_quietly_on_broken_pipe() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_broken_pipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The cluster subcommands carry their own flag namespace
     // (--places, --kill, --place, ...) — dispatch before the main

@@ -44,7 +44,10 @@ fn paper_apps_on_16x8_match_the_recorded_reports() {
                 policy_by_name(policy).expect("known policy"),
             );
             let report = sim.run_app(app.as_ref());
-            assert_eq!(report.tasks_executed, report.tasks_spawned, "{name} {policy}");
+            assert_eq!(
+                report.tasks_executed, report.tasks_spawned,
+                "{name} {policy}"
+            );
             remote_steals += report.steals.remote;
             remote_refs += report.remote_refs;
             let got = fnv1a(distws_json::to_string(&report).as_bytes());

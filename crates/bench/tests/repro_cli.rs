@@ -1,7 +1,8 @@
 //! `repro` CLI edges: an unwritable output path, a missing or unknown
-//! check and an unknown app are usage errors (exit 2), never a panic.
+//! check and an unknown app are usage errors (exit 2), never a panic;
+//! a reader that closes stdout early ends `repro` quietly.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Run `repro` with whitespace-separated `args`, assert a clean exit 2,
 /// and return its stderr.
@@ -67,4 +68,20 @@ fn metrics_prints_the_counter_table() {
 fn metrics_unknown_app_exits_2() {
     let stderr = repro("metrics nope");
     assert!(stderr.contains("unknown app 'nope'"), "{stderr}");
+}
+
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["metrics", "UTS", "--scale", "quick"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn repro");
+    // Close the read end before `repro` prints its first line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

@@ -13,7 +13,6 @@
 //! self-description — both ends are the same binary, version-checked
 //! by the handshake.
 
-use distws_sched::protocol::MessageKind;
 use std::io::{self, Read, Write};
 
 /// Bump on any incompatible frame-layout change.
@@ -324,26 +323,6 @@ fn get_tasks(c: &mut Cursor<'_>) -> io::Result<Vec<WireTask>> {
 }
 
 impl Frame {
-    /// The shared message-kind of this frame
-    /// (`distws_sched::protocol::MessageKind`). The wire tag
-    /// constants below equal `kind().tag()`; the frame tests pin the
-    /// correspondence so enum and wire can never drift.
-    pub fn kind(&self) -> MessageKind {
-        match self {
-            Frame::Hello { .. } => MessageKind::Hello,
-            Frame::StealProbe { .. } => MessageKind::StealProbe,
-            Frame::StealReply { .. } => MessageKind::StealReply,
-            Frame::TaskMigrate { .. } => MessageKind::TaskMigrate,
-            Frame::FinishDec { .. } => MessageKind::FinishDec,
-            Frame::TaskMoved { .. } => MessageKind::TaskMoved,
-            Frame::Heartbeat { .. } => MessageKind::Heartbeat,
-            Frame::Shutdown { .. } => MessageKind::Shutdown,
-            Frame::SpawnNote { .. } => MessageKind::SpawnNote,
-            Frame::TaskQuery { .. } => MessageKind::TaskQuery,
-            Frame::TaskAnswer { .. } => MessageKind::TaskAnswer,
-        }
-    }
-
     /// The sender's HLC stamp carried by this frame.
     pub fn hlc(&self) -> u64 {
         match *self {
@@ -742,23 +721,6 @@ mod tests {
             assert_eq!(&got, f);
         }
         assert!(Frame::read_from(&mut r).unwrap().is_none(), "clean eof");
-    }
-
-    #[test]
-    fn wire_tags_equal_the_shared_message_kind_enum() {
-        // The first payload byte of every encoded frame must be its
-        // MessageKind discriminant — the contract that keeps the
-        // shared vocabulary honest about the wire.
-        for f in all_frames() {
-            assert_eq!(
-                f.encode()[0],
-                f.kind().tag(),
-                "tag drift for {:?}",
-                f.kind()
-            );
-        }
-        // And the enum covers exactly the tag space the wire uses.
-        assert_eq!(MessageKind::ALL.len(), 11);
     }
 
     #[test]

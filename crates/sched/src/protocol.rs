@@ -102,64 +102,6 @@ pub fn map_flexible_private(place_active: bool, under_utilized: bool) -> bool {
     !place_active || under_utilized
 }
 
-/// The cluster wire vocabulary (PR 7's `distws-cluster` frames), as a
-/// shared enum that `distws_cluster::wire` maps every frame onto. The
-/// discriminants are the wire tags; `distws-cluster` asserts the
-/// correspondence in its frame tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum MessageKind {
-    /// Place join handshake.
-    Hello = 1,
-    /// Distributed steal probe (Algorithm 1 line 22).
-    StealProbe = 2,
-    /// Steal probe answer carrying 0..=chunk tasks.
-    StealReply = 3,
-    /// Task payload migrating to the thief.
-    TaskMigrate = 4,
-    /// Finish-latch decrement routed to the latch home.
-    FinishDec = 5,
-    /// Custody transfer notice to the coordinator.
-    TaskMoved = 6,
-    /// Liveness beacon.
-    Heartbeat = 7,
-    /// Orderly teardown.
-    Shutdown = 8,
-    /// Spawn notice for latch accounting.
-    SpawnNote = 9,
-    /// Custody poll question: "do you hold task t?" (PR 7 recovery).
-    TaskQuery = 10,
-    /// Custody poll answer.
-    TaskAnswer = 11,
-}
-
-impl MessageKind {
-    /// Every kind, in wire-tag order.
-    pub const ALL: [MessageKind; 11] = [
-        MessageKind::Hello,
-        MessageKind::StealProbe,
-        MessageKind::StealReply,
-        MessageKind::TaskMigrate,
-        MessageKind::FinishDec,
-        MessageKind::TaskMoved,
-        MessageKind::Heartbeat,
-        MessageKind::Shutdown,
-        MessageKind::SpawnNote,
-        MessageKind::TaskQuery,
-        MessageKind::TaskAnswer,
-    ];
-
-    /// The wire tag byte (the enum discriminant).
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// The kind for a wire tag byte, if any.
-    pub fn from_tag(tag: u8) -> Option<MessageKind> {
-        MessageKind::ALL.iter().copied().find(|k| k.tag() == tag)
-    }
-}
-
 /// Incarnation-epoch fencing predicate (PR 7 recovery): a custody
 /// lease taken under epoch `lease_epoch` is *stale* relative to an
 /// incarnation that died at `dying_epoch` iff it was taken under that
@@ -209,16 +151,6 @@ mod tests {
     fn chunk_constants_match_the_paper() {
         assert_eq!(LOCAL_STEAL_CHUNK, 1, "line 13");
         assert_eq!(REMOTE_STEAL_CHUNK, 2, "§V.B.3");
-    }
-
-    #[test]
-    fn message_kind_tags_are_dense_and_round_trip() {
-        for (i, k) in MessageKind::ALL.iter().enumerate() {
-            assert_eq!(k.tag() as usize, i + 1, "dense from 1");
-            assert_eq!(MessageKind::from_tag(k.tag()), Some(*k));
-        }
-        assert_eq!(MessageKind::from_tag(0), None);
-        assert_eq!(MessageKind::from_tag(12), None);
     }
 
     #[test]

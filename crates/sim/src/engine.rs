@@ -8,8 +8,8 @@ use distws_cachesim::{Cache, CacheConfig};
 use distws_core::rng::SplitMix64;
 use distws_core::{
     Access, CacheSummary, ClusterConfig, CostModel, FaultSummary, FinishLatch, Footprint,
-    GlobalWorkerId, Locality, PlaceId, RunReport, StealCounts, TaskBody, TaskId, TaskSpec,
-    UtilizationSummary, Workload,
+    GlobalWorkerId, Locality, ObjectId, PlaceId, RunReport, StealCounts, TaskBody, TaskId,
+    TaskSpec, UtilizationSummary, Workload,
 };
 use distws_deque::{SeqPrivateDeque, SeqSharedFifo};
 use distws_metrics::{Counter, Gauge, MetricsSink, NullMetrics, Phase};
@@ -179,8 +179,11 @@ impl Simulation {
 // ---------------------------------------------------------------------------
 
 /// Arena index of an in-flight [`Task`] — the 4-byte handle that moves
-/// through deques and the event queue instead of the ~200-byte task.
+/// through deques and the event queue instead of the 56-byte task.
 type TaskRef = u32;
+
+/// `TaskRef` sentinel ending the arena's free list.
+const NO_SLOT: TaskRef = u32::MAX;
 
 /// Arena index of an interned [`FinishLatch`].
 type LatchRef = u32;
@@ -188,57 +191,91 @@ type LatchRef = u32;
 /// `LatchRef` sentinel for "task carries no latch".
 const NO_LATCH: LatchRef = u32::MAX;
 
+/// Slab index of a task's non-empty [`Footprint`].
+type FootprintRef = u32;
+
+/// `FootprintRef` sentinel for the empty footprint (every tree task's).
+const NO_FOOTPRINT: FootprintRef = u32::MAX;
+
+/// `GlobalWorkerId` sentinel for "spawned by no worker" (a root).
+const NO_SPAWNER: GlobalWorkerId = GlobalWorkerId(u32::MAX);
+
 /// A runnable task instance inside the engine.
 struct Task {
     id: TaskId,
-    locality: Locality,
+    est: u64,
+    body: TaskBody,
     /// Place named by the original `async (p)`.
     origin_home: PlaceId,
-    spawned_at: PlaceId,
-    spawner: Option<GlobalWorkerId>,
     /// Current owner place (thief place after a migration).
     exec_home: PlaceId,
+    /// Worker that spawned the task, `NO_SPAWNER` for a root. The task
+    /// was spawned at this worker's place, a root at `origin_home`.
+    spawner: GlobalWorkerId,
+    footprint: FootprintRef,
+    latch: LatchRef,
+    locality: Locality,
     /// True once the task migrated with its footprint copied along.
     carried: bool,
-    est: u64,
-    footprint: Footprint,
-    latch: LatchRef,
-    body: TaskBody,
 }
 
-/// Slots per [`TaskArena`] chunk (about 88 KiB of tasks).
+/// A [`TaskArena`] slot: a queued task, or a link of the free list.
+/// The `Box` of the task body gives `Free` a niche, so a slot costs no
+/// more than a task.
+enum Slot {
+    Full(Task),
+    /// Vacated; holds the next free slot, `NO_SLOT` at the list's end.
+    Free(TaskRef),
+}
+
+/// Slots per [`TaskArena`] chunk (56 KiB of slots).
 const ARENA_CHUNK: usize = 1024;
 
 /// Slab arena of in-flight tasks. Slots are recycled through a LIFO
 /// free list the moment a task starts executing, so the live slot
 /// count tracks the number of *queued* tasks, not tasks ever spawned.
+/// The list is threaded through the vacated slots themselves, so it
+/// costs no memory of its own.
 ///
 /// Slots sit in fixed-size chunks that are never reallocated. A single
 /// doubling buffer would need, at each growth, a free block twice its
 /// size; whether glibc finds one depends on the holes earlier runs in
 /// the process left, which makes peak RSS differ by megabytes from one
 /// run to the next.
-#[derive(Default)]
 struct TaskArena {
-    chunks: Vec<Vec<Option<Task>>>,
-    free: Vec<TaskRef>,
+    chunks: Vec<Vec<Slot>>,
+    /// Most recently vacated slot: the head of the free list.
+    free: TaskRef,
+}
+
+impl Default for TaskArena {
+    fn default() -> Self {
+        TaskArena {
+            chunks: Vec::new(),
+            free: NO_SLOT,
+        }
+    }
 }
 
 impl TaskArena {
     fn alloc(&mut self, task: Task) -> TaskRef {
-        if let Some(r) = self.free.pop() {
-            *self.slot_mut(r) = Some(task);
+        if self.free != NO_SLOT {
+            let r = self.free;
+            let Slot::Free(next) = std::mem::replace(self.slot_mut(r), Slot::Full(task)) else {
+                panic!("free-list slot {r} is occupied");
+            };
+            self.free = next;
             return r;
         }
         if self.chunks.last().is_none_or(|c| c.len() == ARENA_CHUNK) {
             self.chunks.push(Vec::with_capacity(ARENA_CHUNK));
         }
         let last = self.chunks.len() - 1;
-        self.chunks[last].push(Some(task));
+        self.chunks[last].push(Slot::Full(task));
         (last * ARENA_CHUNK + self.chunks[last].len() - 1) as TaskRef
     }
 
-    fn slot_mut(&mut self, r: TaskRef) -> &mut Option<Task> {
+    fn slot_mut(&mut self, r: TaskRef) -> &mut Slot {
         let i = r as usize;
         &mut self.chunks[i / ARENA_CHUNK][i % ARENA_CHUNK]
     }
@@ -247,25 +284,93 @@ impl TaskArena {
     /// a unique handle (exactly one queue or event holds it), so the
     /// slot is provably occupied; the panic documents that invariant.
     fn take(&mut self, r: TaskRef) -> Task {
-        let Some(task) = self.slot_mut(r).take() else {
+        let next = self.free;
+        let Slot::Full(task) = std::mem::replace(self.slot_mut(r), Slot::Free(next)) else {
             panic!("task slot {r} already freed");
         };
-        self.free.push(r);
+        self.free = r;
         task
     }
 
     fn get(&self, r: TaskRef) -> &Task {
         let i = r as usize;
         match &self.chunks[i / ARENA_CHUNK][i % ARENA_CHUNK] {
-            Some(task) => task,
-            None => panic!("task slot {r} already freed"),
+            Slot::Full(task) => task,
+            Slot::Free(_) => panic!("task slot {r} already freed"),
         }
     }
 
     fn get_mut(&mut self, r: TaskRef) -> &mut Task {
         match self.slot_mut(r) {
-            Some(task) => task,
-            None => panic!("task slot {r} already freed"),
+            Slot::Full(task) => task,
+            Slot::Free(_) => panic!("task slot {r} already freed"),
+        }
+    }
+}
+
+/// A footprint in the [`FootprintSlab`], with its byte total cached:
+/// mapping and every migration read the total.
+struct FootprintEntry {
+    footprint: Footprint,
+    total_bytes: u64,
+}
+
+/// Side slab for the footprints of queued tasks. Tree tasks carry
+/// none, so a task holds a 4-byte ref instead of a 24-byte `Vec`, and
+/// only a non-empty footprint takes (and may allocate) a slab slot.
+/// A slot is released when its task has started and replayed its
+/// accesses.
+#[derive(Default)]
+struct FootprintSlab {
+    slots: Vec<Option<FootprintEntry>>,
+    free: Vec<FootprintRef>,
+}
+
+impl FootprintSlab {
+    fn insert(&mut self, footprint: Footprint) -> FootprintRef {
+        if footprint.regions.is_empty() {
+            return NO_FOOTPRINT;
+        }
+        let entry = Some(FootprintEntry {
+            total_bytes: footprint.total_bytes(),
+            footprint,
+        });
+        match self.free.pop() {
+            Some(r) => {
+                self.slots[r as usize] = entry;
+                r
+            }
+            None => {
+                self.slots.push(entry);
+                (self.slots.len() - 1) as FootprintRef
+            }
+        }
+    }
+
+    fn entry(&self, r: FootprintRef) -> Option<&FootprintEntry> {
+        if r == NO_FOOTPRINT {
+            return None;
+        }
+        match &self.slots[r as usize] {
+            Some(e) => Some(e),
+            None => panic!("footprint slot {r} already freed"),
+        }
+    }
+
+    /// Bytes moved with the task on migration.
+    fn total_bytes(&self, r: FootprintRef) -> u64 {
+        self.entry(r).map_or(0, |e| e.total_bytes)
+    }
+
+    /// Whether `obj` is encapsulated by the footprint.
+    fn contains(&self, r: FootprintRef, obj: ObjectId) -> bool {
+        self.entry(r).is_some_and(|e| e.footprint.contains(obj))
+    }
+
+    fn release(&mut self, r: FootprintRef) {
+        if r != NO_FOOTPRINT {
+            self.slots[r as usize] = None;
+            self.free.push(r);
         }
     }
 }
@@ -415,6 +520,7 @@ struct Engine<'p> {
     rng: SplitMix64,
     queue: CalendarQueue<EventKind>,
     tasks: TaskArena,
+    footprints: FootprintSlab,
     latches: LatchArena,
     workers: Vec<WorkerState>,
     places: Vec<PlaceState>,
@@ -510,6 +616,7 @@ impl<'p> Engine<'p> {
             rng: SplitMix64::new(cfg.seed),
             queue: CalendarQueue::new(),
             tasks: TaskArena::default(),
+            footprints: FootprintSlab::default(),
             latches: LatchArena::default(),
             workers,
             places,
@@ -829,12 +936,19 @@ impl<'p> Engine<'p> {
         }
     }
 
+    /// `spawned_at` is not stored: it is the spawner's place, or the
+    /// home of a root, which the assert pins.
     fn make_task(
         &mut self,
         spec: TaskSpec,
         spawned_at: PlaceId,
         spawner: Option<GlobalWorkerId>,
     ) -> TaskRef {
+        assert_eq!(
+            spawned_at,
+            spawner.map_or(spec.home, |s| self.place_of(s)),
+            "a task is spawned at its spawner's place, a root at its home"
+        );
         self.next_task += 1;
         self.tasks_spawned += 1;
         if self.metering {
@@ -844,18 +958,18 @@ impl<'p> Engine<'p> {
             Some(l) => self.latches.intern(l),
             None => NO_LATCH,
         };
+        let footprint = self.footprints.insert(spec.footprint);
         self.tasks.alloc(Task {
             id: TaskId(self.next_task),
-            locality: spec.locality,
-            origin_home: spec.home,
-            spawned_at,
-            spawner,
-            exec_home: spec.home,
-            carried: false,
             est: spec.est_cost_ns,
-            footprint: spec.footprint,
-            latch,
             body: spec.body,
+            origin_home: spec.home,
+            exec_home: spec.home,
+            spawner: spawner.unwrap_or(NO_SPAWNER),
+            footprint,
+            latch,
+            locality: spec.locality,
+            carried: false,
         })
     }
 
@@ -1070,9 +1184,13 @@ impl<'p> Engine<'p> {
             TaskMeta {
                 home: place,
                 locality: task.locality,
-                spawned_at: task.spawned_at,
+                spawned_at: if task.spawner == NO_SPAWNER {
+                    task.origin_home
+                } else {
+                    self.place_of(task.spawner)
+                },
                 est_cost_ns: task.est,
-                footprint_bytes: task.footprint.total_bytes(),
+                footprint_bytes: self.footprints.total_bytes(task.footprint),
             }
         };
         let choice = self.policy.map_task(&meta, &self.board, &mut self.rng);
@@ -1138,11 +1256,7 @@ impl<'p> Engine<'p> {
         self.wake_buf = targets;
     }
 
-    fn pick_private_target(
-        &mut self,
-        place: PlaceId,
-        spawner: Option<GlobalWorkerId>,
-    ) -> GlobalWorkerId {
+    fn pick_private_target(&mut self, place: PlaceId, spawner: GlobalWorkerId) -> GlobalWorkerId {
         let wpp = self.cfg.cluster.workers_per_place;
         // Prefer an idle (unclaimed, parked) worker — Algorithm 1 maps
         // tasks on under-utilized places directly to idle workers: the
@@ -1151,10 +1265,8 @@ impl<'p> Engine<'p> {
             return w;
         }
         // Help-first: the spawning worker keeps its own children.
-        if let Some(s) = spawner {
-            if self.place_of(s) == place {
-                return s;
-            }
+        if spawner != NO_SPAWNER && self.place_of(spawner) == place {
+            return spawner;
         }
         // Round-robin fallback.
         let p = &mut self.places[place.index()];
@@ -1199,7 +1311,7 @@ impl<'p> Engine<'p> {
     fn push_to_lifeline(&mut self, now: u64, from: PlaceId, to: PlaceId, tr: TaskRef) {
         let (locality, bytes) = {
             let task = self.tasks.get(tr);
-            (task.locality, task.footprint.total_bytes())
+            (task.locality, self.footprints.total_bytes(task.footprint))
         };
         assert!(
             self.policy.may_migrate(locality),
@@ -1521,7 +1633,8 @@ impl<'p> Engine<'p> {
                                 "policy {} migrated a non-migratable task",
                                 self.policy.name()
                             );
-                            bytes += self.cfg.cost.closure_bytes + task.footprint.total_bytes();
+                            bytes += self.cfg.cost.closure_bytes
+                                + self.footprints.total_bytes(task.footprint);
                         }
                         match self.net.transmit(
                             send_t + c_req,
@@ -1666,7 +1779,8 @@ impl<'p> Engine<'p> {
 
         // Data accesses: remote references + cache model.
         for a in &scope.accesses {
-            let local = a.home == place || (task.carried && task.footprint.contains(a.obj));
+            let local = a.home == place
+                || (task.carried && self.footprints.contains(task.footprint, a.obj));
             if !local {
                 if self.alive[a.home.index()] {
                     // Request + data reply; each lost leg is
@@ -1703,6 +1817,9 @@ impl<'p> Engine<'p> {
                 duration += misses * self.cfg.cost.l1_miss_penalty_ns;
             }
         }
+
+        // The replay above was the footprint's last reader.
+        self.footprints.release(task.footprint);
 
         // Straggler model: a slow place stretches everything its
         // workers do (compute, spawn bookkeeping, stalls).
@@ -1798,5 +1915,59 @@ impl<'p> Engine<'p> {
                 ..self.fault_stats
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every queued task costs one arena slot, and `fanout-narrow`
+    /// peaks at about 732 k of them: each 8 bytes added to a slot is
+    /// about 6 MB of peak RSS there.
+    #[test]
+    fn per_task_hot_types_stay_in_budget() {
+        let peak = "fanout-narrow queues ~732k tasks at its peak; 8 more bytes per slot cost ~6 MB";
+        assert!(
+            size_of::<Slot>() <= 56,
+            "Slot is {} bytes: {peak}",
+            size_of::<Slot>()
+        );
+        assert!(
+            size_of::<EventKind>() <= 8,
+            "EventKind is {} bytes",
+            size_of::<EventKind>()
+        );
+        assert_eq!(size_of::<TaskRef>(), 4);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let task = |id| Task {
+            id: TaskId(id),
+            est: 0,
+            body: Box::new(|_: &mut dyn distws_core::TaskScope| {}),
+            origin_home: PlaceId(0),
+            exec_home: PlaceId(0),
+            spawner: NO_SPAWNER,
+            footprint: NO_FOOTPRINT,
+            latch: NO_LATCH,
+            locality: Locality::Flexible,
+            carried: false,
+        };
+        let mut arena = TaskArena::default();
+        let refs: Vec<TaskRef> = (0..ARENA_CHUNK as u64 + 2)
+            .map(|i| arena.alloc(task(i)))
+            .collect();
+        assert_eq!(refs, (0..ARENA_CHUNK as u32 + 2).collect::<Vec<_>>());
+        for r in [3, 1, ARENA_CHUNK as u32 + 1] {
+            arena.take(r);
+        }
+        let again: Vec<TaskRef> = (0..4).map(|i| arena.alloc(task(100 + i))).collect();
+        assert_eq!(
+            again,
+            [ARENA_CHUNK as u32 + 1, 1, 3, ARENA_CHUNK as u32 + 2]
+        );
+        assert_eq!(arena.get(1).id, TaskId(101));
     }
 }
